@@ -188,6 +188,13 @@ def _parse_element(lattice, text: str):
     raise ParseError(f"no element grammar for {lattice.id}")
 
 
+def _window_budget(args):
+    """The --window budget, or None when not given; below 1 is malformed."""
+    if args.window is not None and args.window < 1:
+        raise ParseError(f"--window must be at least 1, got {args.window}")
+    return args.window
+
+
 def _prime_index(lattice, label: str) -> int:
     for i in (lattice.indices or range(len(instances.PRIME_LABELS))):
         if str(lattice.prime_label(i)) == label:
@@ -284,6 +291,7 @@ def cmd_factor(args) -> int:
 def cmd_check_sp(args) -> int:
     started = time.perf_counter()
     try:
+        budget = _window_budget(args)
         lattice = _load_source(args, as_lattice=True)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -291,7 +299,7 @@ def cmd_check_sp(args) -> int:
     flavor = args.flavor or _default_flavor(lattice)
     report = _Report("check-sp", _config(args, flavor=flavor))
     try:
-        window = lattice.window(budget=args.window) if args.window else None
+        window = lattice.window(budget=budget) if budget is not None else None
         conditions = factor.check_sp_conditions(lattice, flavor, window)
     except HypothesisViolated as exc:
         report.verdict("hypotheses", False)
@@ -319,6 +327,7 @@ def _default_flavor(lattice) -> str:
 def cmd_represent(args) -> int:
     started = time.perf_counter()
     try:
+        budget = _window_budget(args)
         lattice = _load_source(args, as_lattice=True)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -335,7 +344,7 @@ def cmd_represent(args) -> int:
     card = spectrum.cardinality()
     report.verdict("spectrum_points", card if card is not None else "countable")
     report.verdict("spectrum_discrete", spectrum.discrete)
-    window = lattice.window(budget=args.window or 48)
+    window = lattice.window(budget=48 if budget is None else budget)
     iso = represent.verify_iso(phi, window)
     for check in iso.checks:
         report.verdict(check.name, check.passed)

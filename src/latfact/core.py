@@ -13,8 +13,17 @@ predicate family, dimension) have generic exhaustive implementations in
 this module; instance backends override them with closed forms and remain
 answerable to the defining formulas on their windows.
 
+The predicate family runs on an :class:`OpTable` that the lattice creates
+lazily and keeps while callers quantify over the same sample: it interns
+elements to dense ints (the sample first) and memoizes leq, mul, join2,
+meet2 and residual on those ids in one ``array('i')`` row per first
+operand.  A miss calls the backend's own primitive, so guards and closed
+forms are unchanged and lookups that leave a window still reach the
+closed form.
+
 Lattice contexts are immutable after construction and every operation is
-a pure read (the internal caches only memoize); concurrent use needs no
+a pure read (the internal caches only memoize, and the op table interns
+and grows its rows under its own lock); concurrent use needs no
 synchronization, and reports iterate elements in canonical order so the
 output does not depend on evaluation order.
 """
@@ -23,6 +32,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import threading
+from array import array
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -80,21 +91,6 @@ class TestWindow:
         return len(self.sample)
 
 
-PREDICATE_NAMES = (
-    "cancellative",
-    "weak_meet_principal",
-    "meet_principal",
-    "weak_join_principal",
-    "join_principal",
-    "ell_principal",
-    "ell_invertible",
-    "compact",
-    "ell_radical",
-    "ell_prime",
-    "maximal",
-)
-
-
 @dataclass
 class PredicateRecord:
     """Element predicate flags with a witness for every false flag.
@@ -134,6 +130,80 @@ class LatticePredicates:
     witnesses: dict = field(default_factory=dict)
 
 
+class OpTable:
+    """Primitive results on interned element ids.
+
+    Elements get dense ids in first-seen order, the quantifier sample the
+    table was made for first, so sample elements get small ids.  Each of
+    ``OPS`` keeps one ``array('i')`` row per first-operand id, indexed by
+    the second-operand id and holding the result id (``leq``: 0 or 1), with
+    -1 where nothing has been computed yet; a row is as long as the largest
+    second operand requested of it and doubles when it grows.  mul, join2
+    and meet2 are commutative by the lattice axioms, so they file an
+    operand pair under its larger id; their rows are indexed by the smaller
+    one and stay about as long as the sample.  A miss calls the backend's own method on the operands in the
+    order they were asked for.  The table never references its lattice --
+    every lookup is handed it -- so the two are freed together by
+    reference counting.  Interning and row growth run under one lock;
+    reads take none, since a filled entry never changes.
+    """
+
+    OPS = ("leq", "mul", "join2", "meet2", "residual")
+    COMMUTATIVE = frozenset({"mul", "join2", "meet2"})
+
+    def __init__(self, sample: tuple[ElemRef, ...]):
+        self.sample = sample
+        self.refs: list[ElemRef] = []
+        self._ids: dict = {}
+        self._rows = {op: [] for op in self.OPS}
+        self._lock = threading.Lock()
+        self.sample_ids = [self.intern(ref) for ref in sample]
+
+    def intern(self, ref: ElemRef) -> int:
+        i = self._ids.get(ref)
+        if i is None:
+            with self._lock:
+                i = self._ids.get(ref)
+                if i is None:
+                    i = len(self.refs)
+                    self.refs.append(ref)
+                    self._ids[ref] = i
+        return i
+
+    def lookup(self, lattice: "MultLattice", op: str):
+        """``f(i, j) -> int`` evaluating ``lattice.<op>`` on ids."""
+        rows = self._rows[op]
+        miss = self._miss
+        commutative = op in self.COMMUTATIVE
+
+        def f(i, j):
+            r, c = (j, i) if commutative and i < j else (i, j)
+            try:
+                v = rows[r][c]
+            except (IndexError, TypeError):  # no row for r yet, or too short
+                v = -1
+            if v < 0:
+                v = miss(lattice, op, i, j, r, c)
+            return v
+
+        return f
+
+    def _miss(self, lattice, op, i, j, r, c) -> int:
+        result = getattr(lattice, op)(self.refs[i], self.refs[j])
+        v = int(result) if op == "leq" else self.intern(result)
+        with self._lock:
+            rows = self._rows[op]
+            if r >= len(rows):
+                rows.extend([None] * (r + 1 - len(rows)))
+            row = rows[r]
+            if row is None:
+                row = rows[r] = array("i", [-1]) * (c + 1)
+            elif c >= len(row):
+                row.extend(array("i", [-1]) * (max(c + 1, 2 * len(row)) - len(row)))
+            row[c] = v
+        return v
+
+
 class MultLattice:
     """Abstract multiplicative lattice backend.
 
@@ -150,6 +220,7 @@ class MultLattice:
         self._localize_cache: dict = {}
         self._primes_cache: Optional[list] = None
         self._maximals_cache: Optional[list] = None
+        self._ops: Optional[OpTable] = None
 
     # ------------------------------------------------------------------
     # primitives
@@ -355,6 +426,19 @@ class MultLattice:
             return tuple(self.elements()), "exhaustive"
         return tuple(self.window().sample), "window-verified"
 
+    def _op_table(self, refs: tuple[ElemRef, ...]) -> OpTable:
+        """The lattice's op table for this quantifier sample.
+
+        The table is made on first use and kept while callers quantify
+        over the same sample; another sample gets a fresh table, so its
+        elements take the small ids.  Threads that race here may each get
+        a table of their own, which costs only the sharing.
+        """
+        table = self._ops
+        if table is None or table.sample != refs:
+            table = self._ops = OpTable(refs)
+        return table
+
     def element_predicates(self, x: ElemRef, sample: Optional[TestWindow] = None) -> PredicateRecord:
         """Evaluate the full predicate family at x from the defining formulas.
 
@@ -366,50 +450,53 @@ class MultLattice:
         self._own(x)
         refs, mode = self._quantifier_sample(sample)
         rec = PredicateRecord(element=x, mode=mode)
-        zero_res = self.residual(self.bottom, x)
-        mul_x = {y: self.mul(x, y) for y in refs}
-        res_to_x = {y: self.residual(y, x) for y in refs}
+        table = self._op_table(refs)
+        ref_of = table.refs
+        ids = table.sample_ids
+        xi = table.intern(x)
+        leq, mul, join2, meet2, residual = (table.lookup(self, op) for op in OpTable.OPS)
+        zero_res = residual(table.intern(self.bottom), xi)
+        mul_x = {y: mul(xi, y) for y in ids}
+        res_to_x = {y: residual(y, xi) for y in ids}
 
         first_with_product: dict = {}
-        for y in refs:
+        for y in ids:
             other = first_with_product.setdefault(mul_x[y], y)
             if other != y:
                 rec.cancellative = False
-                rec.witnesses["cancellative"] = (other, y)
+                rec.witnesses["cancellative"] = (ref_of[other], ref_of[y])
                 break
 
-        for y in refs:
-            if self.meet2(x, y) != self.mul(res_to_x[y], x):
+        for y in ids:
+            if meet2(xi, y) != mul(res_to_x[y], xi):
                 rec.weak_meet_principal = False
-                rec.witnesses["weak_meet_principal"] = (y,)
+                rec.witnesses["weak_meet_principal"] = (ref_of[y],)
                 break
 
         if not rec.weak_meet_principal:
             rec.meet_principal = False  # meet principal implies the weak form
             rec.witnesses["meet_principal"] = rec.witnesses["weak_meet_principal"]
         else:
-            for y, z in itertools.product(refs, refs):
-                if self.meet2(y, mul_x[z]) != self.mul(self.meet2(res_to_x[y], z), x):
+            for y, z in itertools.product(ids, ids):
+                if meet2(y, mul_x[z]) != mul(meet2(res_to_x[y], z), xi):
                     rec.meet_principal = False
-                    rec.witnesses["meet_principal"] = (y, z)
+                    rec.witnesses["meet_principal"] = (ref_of[y], ref_of[z])
                     break
 
-        for y in refs:
-            if not self.leq(self.residual(mul_x[y], x), self.join2(y, zero_res)):
+        for y in ids:
+            if not leq(residual(mul_x[y], xi), join2(y, zero_res)):
                 rec.weak_join_principal = False
-                rec.witnesses["weak_join_principal"] = (y,)
+                rec.witnesses["weak_join_principal"] = (ref_of[y],)
                 break
 
         if not rec.weak_join_principal:
             rec.join_principal = False  # join principal implies the weak form
             rec.witnesses["join_principal"] = rec.witnesses["weak_join_principal"]
         else:
-            for y, z in itertools.product(refs, refs):
-                if self.join2(y, res_to_x[z]) != self.residual(
-                    self.join2(mul_x[y], z), x
-                ):
+            for y, z in itertools.product(ids, ids):
+                if join2(y, res_to_x[z]) != residual(join2(mul_x[y], z), xi):
                     rec.join_principal = False
-                    rec.witnesses["join_principal"] = (y, z)
+                    rec.witnesses["join_principal"] = (ref_of[y], ref_of[z])
                     break
 
         rec.ell_principal = rec.meet_principal and rec.join_principal
@@ -437,17 +524,22 @@ class MultLattice:
         """Modularity, domain, and principal generation over the sample."""
         refs, mode = self._quantifier_sample(sample)
         out = LatticePredicates(mode=mode, modular=True, domain=True, principally_generated=True)
+        table = self._op_table(refs)
+        ref_of = table.refs
+        ids = table.sample_ids
+        leq, mul, join2, meet2 = (table.lookup(self, op) for op in ("leq", "mul", "join2", "meet2"))
 
-        for x, y, z in itertools.product(refs, refs, refs):
-            if self.leq(x, z) and self.meet2(self.join2(x, y), z) != self.join2(x, self.meet2(y, z)):
+        for x, y, z in itertools.product(ids, ids, ids):
+            if leq(x, z) and meet2(join2(x, y), z) != join2(x, meet2(y, z)):
                 out.modular = False
-                out.witnesses["modular"] = (x, y, z)
+                out.witnesses["modular"] = (ref_of[x], ref_of[y], ref_of[z])
                 break
 
-        for a, b in itertools.combinations_with_replacement(refs, 2):
-            if a != self.bottom and b != self.bottom and self.mul(a, b) == self.bottom:
+        bottom = table.intern(self.bottom)
+        for a, b in itertools.combinations_with_replacement(ids, 2):
+            if a != bottom and b != bottom and mul(a, b) == bottom:
                 out.domain = False
-                out.witnesses["domain"] = (a, b)
+                out.witnesses["domain"] = (ref_of[a], ref_of[b])
                 break
 
         hook = getattr(self, "principal_join_below", None)

@@ -128,3 +128,14 @@ def test_timing_flag_attaches_timing(capsys):
     doc = json.loads(out)
     assert code == 0 and "timing" in doc
     jsonschema.validate(doc, cli.REPORT_SCHEMA)
+
+
+def test_window_below_one_is_malformed(capsys):
+    for command in ("check-sp", "represent"):
+        for budget in ("0", "-3"):
+            code, out, err = run(capsys, command, "--builtin", "dedekind:2",
+                                 "--window", budget)
+            assert code == 2, (command, budget)
+            assert out == "" and "--window must be at least 1" in err
+        code, _, _ = run(capsys, command, "--builtin", "dedekind:2", "--window", "1")
+        assert code == 0, command
