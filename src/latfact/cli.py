@@ -23,7 +23,10 @@ import time
 from . import factor, finite, idealsys, instances, props, represent
 from .errors import (
     HypothesisViolated,
+    InvalidGenerators,
+    InvalidModulus,
     LatFactError,
+    NotRadical,
     ParseError,
     Stalled,
     StepFailed,
@@ -90,20 +93,30 @@ class _Report:
 
 
 def _load_source(args, as_lattice: bool = False):
-    """Resolve --builtin/--file into a lattice backend or an ideal system;
-    with as_lattice, ideal systems are materialized into their lattice."""
+    """Resolve --builtin/--file into a lattice backend or an ideal system.
+
+    Without as_lattice a lattice document is parsed but not validated, so
+    ``validate`` can report every failing axiom; with as_lattice it must
+    pass validation (AxiomViolation on the first failure) and ideal
+    systems are materialized into their lattice.  Unreadable files and
+    invalid JSON are parse errors.
+    """
     if args.builtin:
         source = _builtin(args.builtin)
     elif args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON in {args.file}: {exc}") from None
+        except OSError as exc:
+            raise ParseError(str(exc)) from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ParseError(f"invalid JSON in {args.file}: {exc}") from None
         if isinstance(doc, dict) and "cayley" in doc:
             source = idealsys.system_from_document(doc)
-        else:
+        elif as_lattice:
             source = finite.load(doc)
+        else:
+            source = finite.FiniteMultLattice.from_document(doc)
     else:
         raise ParseError("pass --builtin or --file")
     if as_lattice and isinstance(source, idealsys.WeakIdealSystem):
@@ -136,6 +149,8 @@ def _builtin(selector: str):
                     idealsys.zmod_mult_monoid(n), idealsys.zmod_addition(n))
     except (IndexError, ValueError):
         raise ParseError(f"malformed builtin selector {selector!r}") from None
+    except (InvalidModulus, InvalidGenerators, NotRadical) as exc:
+        raise ParseError(f"malformed builtin selector {selector!r}: {exc}") from None
     raise ParseError(f"unknown builtin {selector!r}")
 
 
@@ -144,7 +159,7 @@ def _parse_element(lattice, text: str):
     list, a catalog name, or an ideal description n+H / member list."""
     text = text.strip()
     if isinstance(lattice, finite.FiniteMultLattice):
-        masks = getattr(lattice, "ideal_masks", None)
+        masks = lattice.ideal_masks
         if masks is not None and text.startswith("mask:"):
             mask = int(text[len("mask:"):], 0)
             if mask not in masks:
@@ -223,19 +238,7 @@ def _element_from_integer(lattice, value: int):
 
 def cmd_validate(args) -> int:
     started = time.perf_counter()
-    try:
-        if args.builtin:
-            source = _builtin(args.builtin)
-        else:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            if isinstance(doc, dict) and "cayley" in doc:
-                source = idealsys.system_from_document(doc)
-            else:
-                source = finite.FiniteMultLattice.from_document(doc)
-    except (ParseError, json.JSONDecodeError, FileNotFoundError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    source = _load_source(args)
     report = _Report("validate", _config(args))
     if isinstance(source, idealsys.WeakIdealSystem):
         sys_report = idealsys.validate_system(source)
@@ -263,14 +266,11 @@ def cmd_validate(args) -> int:
 
 def cmd_factor(args) -> int:
     started = time.perf_counter()
+    lattice = _load_source(args, as_lattice=True)
     try:
-        lattice = _load_source(args, as_lattice=True)
         element = _parse_element(lattice, args.element)
-    except (ParseError, LatFactError) as exc:
-        if isinstance(exc, ParseError):
-            print(f"parse error: {exc}", file=sys.stderr)
-            return 2
-        raise
+    except ValueError:  # a number that does not parse
+        raise ParseError(f"malformed element literal {args.element!r}") from None
     report = _Report("factor", _config(args))
     try:
         chain = factor.radical_factor(lattice, element, max_steps=args.max_steps)
@@ -290,12 +290,8 @@ def cmd_factor(args) -> int:
 
 def cmd_check_sp(args) -> int:
     started = time.perf_counter()
-    try:
-        budget = _window_budget(args)
-        lattice = _load_source(args, as_lattice=True)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    budget = _window_budget(args)
+    lattice = _load_source(args, as_lattice=True)
     flavor = args.flavor or _default_flavor(lattice)
     report = _Report("check-sp", _config(args, flavor=flavor))
     try:
@@ -326,12 +322,8 @@ def _default_flavor(lattice) -> str:
 
 def cmd_represent(args) -> int:
     started = time.perf_counter()
-    try:
-        budget = _window_budget(args)
-        lattice = _load_source(args, as_lattice=True)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    budget = _window_budget(args)
+    lattice = _load_source(args, as_lattice=True)
     report = _Report("represent", _config(args))
     try:
         phi = represent.build_phi(lattice)

@@ -13,6 +13,17 @@ predicate family, dimension) have generic exhaustive implementations in
 this module; instance backends override them with closed forms and remain
 answerable to the defining formulas on their windows.
 
+:class:`MultLattice` is the one backend protocol.  A new backend implements
+the primitives (top, bottom, leq, mul, join2, meet2, and elements or
+window) plus whichever of the declared methods below it can answer; every
+caller calls them directly.  Declared methods with a generic form here
+work on finite carriers (``proper_radicals_above``, ``maximals_above``,
+``valuation``); the others raise :class:`~latfact.errors.CapabilityMissing`
+unless the backend overrides them (``radical_product_membership``,
+``principal_join_below``, and ``unit_vector``/``maximal_index`` for
+maximal spectra indexed by the naturals).  A caller that has another way
+to answer catches ``CapabilityMissing`` and takes it.
+
 The predicate family runs on an :class:`OpTable` that the lattice creates
 lazily and keeps while callers quantify over the same sample: it interns
 elements to dense ints (the sample first) and memoizes leq, mul, join2,
@@ -37,7 +48,15 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Optional, Sequence
 
-from .errors import CapabilityMissing, ForeignElement, InvariantViolation, NotPrime
+from .errors import (
+    CapabilityMissing,
+    ForeignElement,
+    HypothesisViolated,
+    InvariantViolation,
+    NotPrime,
+)
+
+_POWER_BOUND = 512  # longest power chain the generic valuation walks
 
 
 @dataclass(frozen=True)
@@ -63,10 +82,7 @@ class Capabilities:
     finite_enumerable: bool = False
     primes_enumerable: bool = False
     maximals_enumerable: bool = False
-    domain_declared: bool = False
-    modular_declared: bool = False
     c_lattice_declared: bool = False
-    element_count: Optional[int] = None  # None means infinite
     notes: tuple[tuple[str, str], ...] = ()
 
 
@@ -361,6 +377,28 @@ class MultLattice:
         self._localize_cache[key] = result
         return result
 
+    def valuation(self, x: ElemRef, m: ElemRef) -> int:
+        """The exponent k with localize(x, m) = m ** k, for nonzero x and
+        maximal m (``represent.v`` checks both).
+
+        The generic form walks the power chain of m.  Outside the radical
+        factorial hypotheses the matching power need not be unique; the
+        smallest is returned, and HypothesisViolated when there is none.
+        """
+        target = self.localize(x, m)
+        power = self.top
+        for k in range(_POWER_BOUND):
+            if power == target:
+                return k
+            nxt = self.mul(power, m)
+            if nxt == power:
+                break
+            power = nxt
+        raise HypothesisViolated(
+            f"{self.id}: localization of {self.label(x)} at {self.label(m)} "
+            f"is not a power of the maximal"
+        )
+
     # ------------------------------------------------------------------
     # prime / maximal structure
     # ------------------------------------------------------------------
@@ -397,6 +435,18 @@ class MultLattice:
             self._maximals_cache = [m for m in self.elements() if self.is_maximal_elem(m)]
         return self._maximals_cache
 
+    def maximals_above(self, x: ElemRef) -> list[ElemRef]:
+        """The maximal elements above x, in catalog order."""
+        self._own(x)
+        return [m for m in self.maximals() if self.leq(x, m)]
+
+    def proper_radicals_above(self, x: ElemRef) -> list[ElemRef]:
+        """The radical elements above x other than the top: the candidate
+        factors of a radical chain whose product is x."""
+        self._own(x)
+        return [r for r in self.elements()
+                if self.is_radical_elem(r) and r != self.top and self.leq(x, r)]
+
     def minimal_primes_above(self, x: ElemRef) -> list[ElemRef]:
         self._own(x)
         above = [p for p in self.primes() if self.leq(x, p)]
@@ -414,6 +464,35 @@ class MultLattice:
                 if self.lt(primes[j], primes[i]):
                     height[i] = max(height[i], height[j] + 1)
         return max(height, default=0) - 1
+
+    # ------------------------------------------------------------------
+    # closed-form catalogs (CapabilityMissing unless the backend has one)
+    # ------------------------------------------------------------------
+
+    def radical_product_membership(self, x: ElemRef) -> tuple:
+        """Whether x is a product of radical elements, read off the
+        backend's radical catalog: (True, the radical factors) or
+        (False, None).  Finite carriers are saturated by
+        ``factor.is_product_of_radicals`` instead."""
+        raise CapabilityMissing(f"{self.id}: no radical catalog; use the factorization engine")
+
+    def principal_join_below(self, x: ElemRef) -> ElemRef:
+        """Join of the principal elements below x in the full lattice.
+
+        A window cannot attain such a join when it is a proper limit of
+        principals, so only a backend that knows it in closed form
+        declares it; ``lattice_predicates`` quantifies over its sample
+        otherwise."""
+        raise CapabilityMissing(f"{self.id}: no closed form for joins of principals")
+
+    def unit_vector(self, index: int) -> ElemRef:
+        """The maximal element at ``index`` of a countably infinite maximal
+        spectrum indexed by the naturals."""
+        raise CapabilityMissing(f"{self.id}: the maximal spectrum is not indexed by the naturals")
+
+    def maximal_index(self, m: ElemRef) -> int:
+        """The index of the maximal element m; inverse to ``unit_vector``."""
+        raise CapabilityMissing(f"{self.id}: the maximal spectrum is not indexed by the naturals")
 
     # ------------------------------------------------------------------
     # predicate family
@@ -542,26 +621,17 @@ class MultLattice:
                 out.witnesses["domain"] = (ref_of[a], ref_of[b])
                 break
 
-        hook = getattr(self, "principal_join_below", None)
-        if hook is not None:
-            # the backend knows the join of the principal elements below x
-            # in the full lattice; windows cannot attain such joins when
-            # they are proper limits of principals
+        try:
+            bad = next((x for x in refs if self.principal_join_below(x) != x), None)
             out.witnesses["principally_generated_scope"] = "closed-form"
-            for x in refs:
-                if hook(x) != x:
-                    out.principally_generated = False
-                    out.witnesses["principally_generated"] = (x,)
-                    break
-        else:
+        except CapabilityMissing:
             window = TestWindow(refs, "shared predicate sample")
             principal = [r for r in refs if self.element_predicates(r, window).ell_principal]
-            for x in refs:
-                below = [p for p in principal if self.leq(p, x)]
-                if self.join(below) != x:
-                    out.principally_generated = False
-                    out.witnesses["principally_generated"] = (x,)
-                    break
+            bad = next((x for x in refs
+                        if self.join(p for p in principal if self.leq(p, x)) != x), None)
+        if bad is not None:
+            out.principally_generated = False
+            out.witnesses["principally_generated"] = (bad,)
         return out
 
 

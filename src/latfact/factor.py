@@ -136,17 +136,12 @@ def is_product_of_radicals(lattice: MultLattice, x: ElemRef):
     products.
 
     Finite backends saturate the closure; instance backends answer
-    through their radical catalog hook.  Returns (flag, witness chain or
-    None).
+    through their radical catalog (CapabilityMissing without one).
+    Returns (flag, witness chain or None).
     """
     lattice._own(x)
-    hook = getattr(lattice, "radical_product_membership", None)
-    if hook is not None and not lattice.capabilities.finite_enumerable:
-        return hook(x)
     if not lattice.capabilities.finite_enumerable:
-        raise CapabilityMissing(
-            f"{lattice.id}: no radical catalog; use the factorization engine"
-        )
+        return lattice.radical_product_membership(x)
     radicals = [r for r in lattice.elements() if lattice.is_radical_elem(r)]
     parent = {lattice.top: None}
     queue = [lattice.top]
@@ -185,15 +180,7 @@ def verify_uniqueness(lattice: MultLattice, x: ElemRef, bound: int) -> ChainSear
     lattice._own(x)
     if x == lattice.top:
         return ChainSearch(True, [()], ())
-    if lattice.capabilities.finite_enumerable:
-        candidates = [r for r in lattice.elements()
-                      if lattice.is_radical_elem(r) and r != lattice.top
-                      and lattice.leq(x, r)]
-    else:
-        hook = getattr(lattice, "proper_radicals_above", None)
-        if hook is None:
-            raise CapabilityMissing(f"{lattice.id}: cannot enumerate radical factors")
-        candidates = hook(x)
+    candidates = lattice.proper_radicals_above(x)
     # linear extension of the lattice order, so ascending chains always
     # move forward through the candidate list
     ranks = {r: sum(1 for s in candidates if lattice.leq(s, r)) for r in candidates}
@@ -388,6 +375,18 @@ def _check_hypotheses(lattice: MultLattice) -> list:
     return notes
 
 
+def _catalog_verdict(lattice, x) -> Optional[bool]:
+    """Whether the backend's radical catalog decomposes x, or None when it
+    has no catalog and the caller falls back to the engine.  A catalog
+    "no" is exact: one concrete non-member refutes a universal claim, so
+    such witnesses are scoped closed-form."""
+    try:
+        ok, _ = lattice.radical_product_membership(x)
+    except CapabilityMissing:
+        return None
+    return ok
+
+
 def _factoriality(lattice, win, scope):
     if lattice.capabilities.finite_enumerable:
         for x in lattice.elements():
@@ -395,36 +394,30 @@ def _factoriality(lattice, win, scope):
             if not ok:
                 return False, f"{lattice.label(x)} is not a product of radicals", "exhaustive"
         return True, None, "exhaustive"
-    hook = getattr(lattice, "radical_product_membership", None)
-    if hook is not None:
-        for x in win:
-            ok, _ = hook(x)
-            if not ok:
-                # one concrete non-member refutes the universal claim exactly
-                return False, f"{lattice.label(x)} is not a product of radicals", "closed-form"
-        return True, None, scope
     for x in win:
-        try:
-            radical_factor(lattice, x)
-        except (StepFailed, Stalled) as exc:
-            return False, f"{lattice.label(x)}: {exc}", scope
+        ok = _catalog_verdict(lattice, x)
+        if ok is None:
+            try:
+                radical_factor(lattice, x)
+            except (StepFailed, Stalled) as exc:
+                return False, f"{lattice.label(x)}: {exc}", scope
+        elif not ok:
+            return False, f"{lattice.label(x)} is not a product of radicals", "closed-form"
     return True, None, scope
 
 
 def _invertibles_factor(lattice, nonzero, predicates, scope):
-    hook = getattr(lattice, "radical_product_membership", None)
     for x in nonzero:
         if not predicates(x).ell_invertible:
             continue
-        if hook is not None:
-            ok, _ = hook(x)
-            if not ok:
-                return False, f"invertible {lattice.label(x)} is not a product of radicals", "closed-form"
-            continue
-        try:
-            radical_factor(lattice, x)
-        except (StepFailed, Stalled) as exc:
-            return False, f"invertible {lattice.label(x)} does not factor: {exc}", scope
+        ok = _catalog_verdict(lattice, x)
+        if ok is None:
+            try:
+                radical_factor(lattice, x)
+            except (StepFailed, Stalled) as exc:
+                return False, f"invertible {lattice.label(x)} does not factor: {exc}", scope
+        elif not ok:
+            return False, f"invertible {lattice.label(x)} is not a product of radicals", "closed-form"
     return True, None, scope
 
 
@@ -443,17 +436,14 @@ def _primes_shape(lattice, win, predicates):
 
 
 def _engine_sweep(lattice, win):
-    hook = getattr(lattice, "radical_product_membership", None)
     for x in win:
         try:
             radical_factor(lattice, x)
         except (StepFailed, Stalled) as exc:
-            if hook is not None:
-                ok, _ = hook(x)
-                if ok:
-                    raise InvariantViolation(
-                        f"engine fails on {lattice.label(x)} but the radical catalog "
-                        f"decomposes it"
-                    ) from exc
+            if _catalog_verdict(lattice, x):
+                raise InvariantViolation(
+                    f"engine fails on {lattice.label(x)} but the radical catalog "
+                    f"decomposes it"
+                ) from exc
             return False, f"{lattice.label(x)}: {exc}"
     return True, None

@@ -70,9 +70,14 @@ class ValidationReport:
 
 
 class FiniteMultLattice(MultLattice):
-    """A multiplicative lattice given by explicit leq and mul tables."""
+    """A multiplicative lattice given by explicit leq and mul tables.
+
+    ``ideal_masks`` is None unless ``idealsys.build_ideal_lattice`` made the
+    lattice; then entry i is the bitmask of the r-ideal that element i is.
+    """
 
     _counter = 0
+    ideal_masks: Optional[list] = None
 
     def __init__(self, name, labels, leq, mul):
         FiniteMultLattice._counter += 1
@@ -95,7 +100,6 @@ class FiniteMultLattice(MultLattice):
                 primes_enumerable=True,
                 maximals_enumerable=True,
                 c_lattice_declared=True,
-                element_count=self.n,
                 notes=(("c_lattice", "finite carrier: every element is compact"),),
             ),
         )
@@ -284,17 +288,6 @@ class FiniteMultLattice(MultLattice):
                     for b in range(n) if b != zb
                 )
         self._validation = report
-        if report.all_axioms_pass:
-            self.capabilities = Capabilities(
-                finite_enumerable=True,
-                primes_enumerable=True,
-                maximals_enumerable=True,
-                domain_declared=report.domain,
-                modular_declared=report.modular,
-                c_lattice_declared=True,
-                element_count=self.n,
-                notes=self.capabilities.notes,
-            )
         return report
 
     def _triples(self, seed, exhaustive):
@@ -356,11 +349,6 @@ def loads(text: str) -> FiniteMultLattice:
     return load(doc)
 
 
-def load_path(path) -> FiniteMultLattice:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
-
-
 def validate_document(doc) -> ValidationReport:
     """Validator entry point that never raises on content defects.
 
@@ -415,5 +403,4 @@ def materialize_from_divisors(n: int) -> FiniteMultLattice:
     report = lattice.validate()
     if not report.all_axioms_pass:
         raise AxiomViolation(f"divisor lattice of {n} failed validation")
-    lattice.modulus = n
     return lattice

@@ -410,7 +410,6 @@ def build_ideal_lattice(system: WeakIdealSystem, regular_only: bool = False) -> 
             f"{system.name}: materialized ideal lattice fails {bad.name} at {bad.witness} "
             f"(broken closure map)", axiom=bad.name, witness=bad.witness)
     lattice.ideal_masks = ideals
-    lattice.system = system
     return lattice
 
 

@@ -82,10 +82,7 @@ class DedekindExponentLattice(MultLattice):
                 finite_enumerable=False,
                 primes_enumerable=finite,
                 maximals_enumerable=finite,
-                domain_declared=True,
-                modular_declared=True,
                 c_lattice_declared=True,
-                element_count=None,
                 notes=notes,
             ),
         )
@@ -253,12 +250,13 @@ class DedekindExponentLattice(MultLattice):
         # chain: zero < any unit vector; closed form independent of k
         return 1
 
-    def valuation(self, x, index: int) -> int:
-        """Exponent of the given prime in x; the closed form behind v."""
+    def valuation(self, x, m) -> int:
+        """Exponent in x of the prime of the maximal m; the closed form
+        behind v."""
         self._own(x)
         if x.key == ZERO_KEY:
             raise ZeroElement(f"{self.id}: valuation undefined at zero")
-        return dict(x.key).get(index, 0)
+        return dict(x.key).get(self.maximal_index(m), 0)
 
     def maximal_index(self, m: ElemRef) -> int:
         self._own(m)
@@ -438,10 +436,7 @@ class Rank2ValuationIdealLattice(MultLattice):
                 finite_enumerable=False,
                 primes_enumerable=True,
                 maximals_enumerable=True,
-                domain_declared=True,
-                modular_declared=True,
                 c_lattice_declared=True,
-                element_count=None,
                 notes=notes,
             ),
         )
@@ -689,10 +684,7 @@ class NumericalMonoidIdealLattice(MultLattice):
                 finite_enumerable=False,
                 primes_enumerable=True,
                 maximals_enumerable=True,
-                domain_declared=True,
-                modular_declared=True,
                 c_lattice_declared=True,
-                element_count=None,
                 notes=notes,
             ),
         )
@@ -878,11 +870,6 @@ class NumericalMonoidIdealLattice(MultLattice):
     def dimension(self):
         return 1
 
-    def s_closure(self, subset: Iterable[int]) -> ElemRef:
-        """Closure map of the ideal system: X -> X + H (plus zero elements,
-        of which the additive monoid has none)."""
-        return self.ideal(subset)
-
     def r_invertible(self, x: ElemRef):
         """Decide whether some ideal J makes X + J principal.
 
@@ -967,11 +954,3 @@ def _monoid_membership(gens) -> tuple[frozenset, int]:
             frob = max(gaps) if gaps else -1
             return frozenset(v for v in range(frob + 1) if reachable[v]), frob
         bound *= 2
-
-
-def zmod_ideals(n: int):
-    """The ideal lattice of the integers mod n; same object as the ring
-    ideal system's lattice, re-exported here for the instance catalog."""
-    from .finite import materialize_from_divisors
-
-    return materialize_from_divisors(n)

@@ -17,7 +17,6 @@ from typing import Optional
 
 from .core import ElemRef, MultLattice, TestWindow
 from .errors import (
-    CapabilityMissing,
     HypothesisViolated,
     NotMaximal,
     UnsupportedTopology,
@@ -41,10 +40,11 @@ class MaxSpectrum:
     """The maximal elements of a lattice as a topological space.
 
     ``points`` lists maximal elements for finite spectra (None when the
-    spectrum is countably infinite and maximals come from an index hook).
-    ``basis`` holds the basic open sets V(x) for finite backends, and
-    ``separation`` a witness pair of compacts with join top for every two
-    distinct points (the spectrum is Hausdorff and zero-dimensional).
+    spectrum is countably infinite and the maximals come from
+    ``unit_vector``/``maximal_index``).  ``basis`` holds the basic open
+    sets V(x) for finite backends, and ``separation`` a witness pair of
+    compacts with join top for every two distinct points (the spectrum is
+    Hausdorff and zero-dimensional).
     """
 
     lattice_id: str
@@ -74,9 +74,8 @@ def build_spectrum(lattice: MultLattice, with_basis: bool = False) -> MaxSpectru
                     i for i, m in enumerate(points) if lattice.leq(x, m)
                 )
         return spec
-    if hasattr(lattice, "unit_vector"):
-        return MaxSpectrum(lattice.id, countable_discrete(), True, None)
-    raise CapabilityMissing(f"{lattice.id}: cannot enumerate the maximal spectrum")
+    lattice.unit_vector(0)  # CapabilityMissing unless indexed by the naturals
+    return MaxSpectrum(lattice.id, countable_discrete(), True, None)
 
 
 def point_of(spectrum: MaxSpectrum, lattice: MultLattice, m: ElemRef) -> int:
@@ -91,35 +90,21 @@ def maximal_at(spectrum: MaxSpectrum, lattice: MultLattice, point: int) -> ElemR
     return lattice.unit_vector(point)
 
 
-def v(lattice: MultLattice, x: ElemRef, m: ElemRef, power_bound: int = 512) -> int:
+def v(lattice: MultLattice, x: ElemRef, m: ElemRef) -> int:
     """The exponent with localize(x, m) = m ** k.
 
     Instances answer by exponent lookup; finite backends compare against
-    the power chain of m.  Outside the radical factorial hypotheses the
-    matching power need not be unique; the smallest is returned and the
-    uniqueness clause is only asserted where the hypotheses hold.
+    the power chain of m (``MultLattice.valuation``).  Outside the radical
+    factorial hypotheses the matching power need not be unique; the
+    smallest is returned and the uniqueness clause is only asserted where
+    the hypotheses hold.
     """
     lattice._own(x, m)
     if x == lattice.bottom:
         raise ZeroElement(f"{lattice.id}: valuations are defined at nonzero elements")
     if not lattice.is_maximal_elem(m):
         raise NotMaximal(f"{lattice.label(m)} is not maximal in {lattice.id}")
-    lookup = getattr(lattice, "valuation", None)
-    if lookup is not None:
-        return lookup(x, lattice.maximal_index(m))
-    target = lattice.localize(x, m)
-    power = lattice.top
-    for k in range(power_bound):
-        if power == target:
-            return k
-        nxt = lattice.mul(power, m)
-        if nxt == power:
-            break
-        power = nxt
-    raise HypothesisViolated(
-        f"{lattice.id}: localization of {lattice.label(x)} at {lattice.label(m)} "
-        f"is not a power of the maximal"
-    )
+    return lattice.valuation(x, m)
 
 
 def alpha(lattice: MultLattice, x: ElemRef, spectrum: Optional[MaxSpectrum] = None) -> USCFun:
@@ -129,14 +114,8 @@ def alpha(lattice: MultLattice, x: ElemRef, spectrum: Optional[MaxSpectrum] = No
     if x == lattice.bottom:
         raise ZeroElement(f"{lattice.id}: the zero element maps to the bottom")
     spectrum = spectrum or build_spectrum(lattice)
-    rad = lattice.radical(x)
-    support = getattr(lattice, "maximals_above", None)
-    if support is not None:
-        carriers = support(rad)
-    else:
-        carriers = [m for m in spectrum.points if lattice.leq(rad, m)]
     values = {}
-    for m in carriers:
+    for m in lattice.maximals_above(lattice.radical(x)):
         values[point_of(spectrum, lattice, m)] = v(lattice, x, m)
     return USCFun(spectrum.space, values=tuple(
         (p, val) for p, val in values.items() if val

@@ -141,12 +141,6 @@ class USCFun:
         return cls(space)
 
     @classmethod
-    def from_map(cls, space: Space, mapping: dict) -> "USCFun":
-        if space.discrete:
-            return cls(space, values=tuple((p, v) for p, v in mapping.items() if v))
-        raise ParseError("use compactified() for the one-point space")
-
-    @classmethod
     def compactified(cls, exceptional: dict, default: int, at_infinity: int) -> "USCFun":
         space = one_point_compactified()
         vals = tuple((p, v) for p, v in exceptional.items() if v != default)
@@ -175,18 +169,6 @@ class USCFun:
     def max_value(self) -> int:
         vals = self.positive_values()
         return vals[-1] if vals else 0
-
-    def probe_points(self) -> list:
-        """Finitely many points that separate this function from any other
-        sharing the same exceptional supports; used by pointwise oracles."""
-        pts = [p for p, _ in self.values]
-        fresh = 0
-        while fresh in set(pts):
-            fresh += 1
-        pts.append(fresh)
-        if self.space.kind == ONE_POINT:
-            pts.append(INF)
-        return pts
 
 
 @dataclass(frozen=True)

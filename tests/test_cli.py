@@ -1,6 +1,8 @@
+import hashlib
 import json
 
 import jsonschema
+import pytest
 
 from latfact import cli, finite
 
@@ -66,6 +68,9 @@ def test_factor_parse_error(capsys):
     code, _, err = run(capsys, "factor", "--builtin", "rank2",
                        "--element", "Quux(1)")
     assert code == 2
+    code, out, err = run(capsys, "factor", "--builtin", "dedekind:3",
+                         "--element", "2:x")
+    assert code == 2 and out == "" and "malformed element literal" in err
 
 
 def test_check_sp_exit_codes(capsys):
@@ -111,9 +116,15 @@ def test_json_reports_deterministic(capsys):
     assert first == second
 
 
-def test_unknown_builtin(capsys):
-    code, _, err = run(capsys, "validate", "--builtin", "nonsense:1")
-    assert code == 2 and "unknown builtin" in err
+@pytest.mark.parametrize("selector, message", [
+    ("nonsense:1", "unknown builtin"),
+    ("zmod:1", "malformed builtin selector 'zmod:1': modulus"),
+    ("numerical:4,6", "malformed builtin selector 'numerical:4,6': generators"),
+    ("power-of-j:4", "malformed builtin selector 'power-of-j:4': j has exponent"),
+], ids=["nonsense:1", "zmod:1", "numerical:4,6", "power-of-j:4"])
+def test_unknown_builtin(capsys, selector, message):
+    code, _, err = run(capsys, "validate", "--builtin", selector)
+    assert code == 2 and message in err
 
 
 def test_props_single_criterion(capsys):
@@ -139,3 +150,66 @@ def test_window_below_one_is_malformed(capsys):
             assert out == "" and "--window must be at least 1" in err
         code, _, _ = run(capsys, command, "--builtin", "dedekind:2", "--window", "1")
         assert code == 0, command
+
+
+@pytest.mark.parametrize("command", ["validate", "factor", "check-sp", "represent"])
+def test_unreadable_file_is_malformed(tmp_path, capsys, command):
+    element = ["--element", "1"] if command == "factor" else []
+    (tmp_path / "truncated.json").write_text('{"elements": [', encoding="utf-8")
+    (tmp_path / "latin1.json").write_bytes(b'{"name": "\xe9"}')
+    for name in ("missing.json", "truncated.json", "latin1.json"):
+        code, out, err = run(capsys, command, "--file", str(tmp_path / name), *element)
+        assert code == 2 and out == "", (command, name)
+        assert err.startswith("parse error:") and "Traceback" not in err, (command, name)
+
+
+def _two_axiom_failures(path):
+    doc = finite.save(finite.materialize_from_divisors(12))
+    doc["mul"][1][2] = 0  # 2 * 3 no longer commutes
+    doc["mul"][0][3] = 0  # the top no longer fixes 4
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+# sha256 of the --format json stdout; these pin the report bytes of the
+# closed-form catalogs, the generic finite forms and ideal-system masks.
+# Reports that name a finite:...#n lattice id are left out, because the
+# id counts the lattices made so far in the process.
+GOLDEN_REPORTS = {
+    "check-sp --builtin dedekind:2 --window 24":
+        "3f9c939769c0bc5fba303864dbf3f6daed41306a56f892abeec19100df70e95b",
+    "check-sp --builtin rank2":
+        "cd04806ff7c4c0b24a9c7d708fb8d7879e2fe4f4b4dd397eeb05954808873e03",
+    "check-sp --builtin numerical:3,5 --window 40":
+        "8dbf131de917ac00455e34872b72e199cf8cbc87cb08d0d6b85e29e6e4b29ff4",
+    "check-sp --builtin power-of-j:30 --window 24":
+        "e3c70e28ce0d17978e7cd13dbd81cc41aec4deefd41d6d86f82e1928e0034b50",
+    "check-sp --builtin zmod:7":
+        "615605b32886d3845ed6a05a4a171ddf9b3b1a3b4b6ead8cabb086430c740789",
+    "represent --builtin dedekind:2 --window 24":
+        "dffecce1b17f53fe6f05f21f8a4c87db93fee327572adf6447bf0c5024f13c91",
+    "represent --builtin power-of-j:30 --window 24":
+        "42efa99a6f6b9e1a4115ab2082f14bd56e0d3b8cc2f916d5e8f78e5406d2f12e",
+    "represent --builtin zmod:7":
+        "0b2eb743d94e82adc5d6ea2a1ab5e7ac64b4947da60e820059dba7790c7ba85e",
+    "factor --builtin zmod:12 --element 4":
+        "976e885dbd11bf8a07d6be163c488a7ce74d26215a7350e6402948285228631a",
+    "factor --builtin dedekind:3 --element 2:2,3:1":
+        "329f9e178ec77dce3cd3cb3f546d9cf971d025a3686b49b6c68814d337303bac",
+    "factor --builtin d-system:zmod:12 --element mask:1":
+        "93ac47e511f1a0af27ee9f8a222fc8f3e54e82090f3ceccd9f8e2626e1d66071",
+    "validate --builtin d-system:zmod:12":
+        "f84eccbe6bf5c6d68cda5894743b8cb2461d223642ad0342ae43daf5d6c7eb33",
+    "validate --file bad.json":
+        "6eeb339cd4426e764159f001a4b3c9788fbffab3f3a64c7935a975a439fc7359",
+}
+
+
+def test_json_reports_match_golden_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the report config carries the file name
+    _two_axiom_failures(tmp_path / "bad.json")
+    digests = {}
+    for command in GOLDEN_REPORTS:
+        _, out, _ = run(capsys, *command.split(), "--format", "json")
+        assert "#" not in out, command
+        digests[command] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == GOLDEN_REPORTS

@@ -1,6 +1,6 @@
 import pytest
 
-from latfact import factor, finite, instances
+from latfact import factor, finite, idealsys, instances
 from latfact.core import Capabilities, ElemRef, MultLattice
 from latfact.errors import (
     CapabilityMissing,
@@ -207,6 +207,18 @@ def test_check_sp_report_document(dedekind3):
     assert {c["number"] for c in doc["conditions"]} == set(range(1, 7))
 
 
+# every declared backend method, called at an element x and a maximal m
+PROTOCOL = (
+    ("radical_product_membership", lambda L, x, m: L.radical_product_membership(x)),
+    ("proper_radicals_above", lambda L, x, m: L.proper_radicals_above(x)),
+    ("principal_join_below", lambda L, x, m: L.principal_join_below(x)),
+    ("valuation", lambda L, x, m: L.valuation(x, m)),
+    ("maximals_above", lambda L, x, m: L.maximals_above(x)),
+    ("unit_vector", lambda L, x, m: L.unit_vector(0)),
+    ("maximal_index", lambda L, x, m: L.maximal_index(m)),
+)
+
+
 def test_capability_missing_without_catalog():
     class Bare(_LyingRadical):
         pass
@@ -214,6 +226,51 @@ def test_capability_missing_without_catalog():
     L = Bare()
     with pytest.raises(CapabilityMissing):
         factor.is_product_of_radicals(L, L.bottom)
+    # a backend with only the primitives answers no declared method, and
+    # says so with CapabilityMissing rather than AttributeError
+    for _, call in PROTOCOL:
+        for x in (L.top, L.bottom):
+            with pytest.raises(CapabilityMissing):
+                call(L, x, L.bottom)  # the bottom is the maximal of the two-chain
+
+
+def _d_system_ideals_12():
+    return idealsys.build_ideal_lattice(idealsys.WeakIdealSystem.d_system(
+        idealsys.zmod_mult_monoid(12), idealsys.zmod_addition(12)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: instances.dedekind(3),
+    lambda: instances.dedekind(None),
+    lambda: instances.power_of_j_from_int(30),
+    instances.rank2_valuation,
+    lambda: instances.numerical_monoid((3, 5)),
+    lambda: finite.materialize_from_divisors(12),
+    _d_system_ideals_12,
+], ids=["dedekind:3", "dedekind:unbounded", "power-of-j:30", "rank2",
+        "numerical:3,5", "zmod:12", "d-system:zmod:12"])
+def test_shipped_backends_answer_the_protocol(make):
+    L = make()
+    m = L.maximals()[0] if L.capabilities.maximals_enumerable else L.unit_vector(0)
+    for name, call in PROTOCOL:
+        for x in (L.top, m):
+            try:
+                result = call(L, x, m)
+            except CapabilityMissing:
+                continue
+            if name == "valuation":
+                assert result == (0 if x == L.top else 1), (name, L.label(x))
+            elif name == "maximal_index":
+                assert L.unit_vector(result) == m
+            elif name == "radical_product_membership":
+                assert result[0] is True, (name, L.label(x))
+            elif name in ("proper_radicals_above", "maximals_above"):
+                assert all(L.leq(x, r) for r in result), (name, L.label(x))
+            else:
+                L._own(result)
+    if isinstance(L, finite.FiniteMultLattice):
+        assert (L.ideal_masks is None) == (L.name == "zmod:12")
+        assert L.ideal_masks is None or len(L.ideal_masks) == L.n
 
 
 def test_factor_chain_serialization(zmod12):

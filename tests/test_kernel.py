@@ -17,6 +17,7 @@ import pytest
 
 from latfact import finite, idealsys, instances
 from latfact.core import ElemRef, LatticePredicates, OpTable, PredicateRecord, TestWindow
+from latfact.errors import CapabilityMissing
 
 
 def reference_element_predicates(L, x, sample=None) -> PredicateRecord:
@@ -105,7 +106,11 @@ def reference_lattice_predicates(L, sample=None) -> LatticePredicates:
             out.witnesses["domain"] = (a, b)
             break
 
-    hook = getattr(L, "principal_join_below", None)
+    try:  # the backend declares the closed form unless it raises CapabilityMissing
+        L.principal_join_below(L.top)
+        hook = L.principal_join_below
+    except CapabilityMissing:
+        hook = None
     if hook is not None:
         out.witnesses["principally_generated_scope"] = "closed-form"
         for x in refs:
