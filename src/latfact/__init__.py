@@ -1,6 +1,6 @@
 """Multiplicative lattices, radical factorization, and ideal systems."""
 
-from .core import Capabilities, ElemRef, MultLattice, PredicateRecord, TestWindow
+from .core import ElemRef, MultLattice, PredicateRecord, TestWindow
 from .errors import LatFactError
 from .factor import (
     FactorChain,
@@ -22,7 +22,6 @@ from .represent import alpha, build_phi, build_spectrum, homeomorphic, v, verify
 from .usc import USCFun, add, decompose, is_radical, join_d, meet_d, recompose
 
 __all__ = [
-    "Capabilities",
     "ElemRef",
     "FactorChain",
     "FiniteMultLattice",

@@ -203,11 +203,12 @@ def _parse_element(lattice, text: str):
     raise ParseError(f"no element grammar for {lattice.id}")
 
 
-def _window_budget(args):
-    """The --window budget, or None when not given; below 1 is malformed."""
+def _window(args, lattice):
+    """The quantification window under --window (default 48) and --seed;
+    a budget below 1 is malformed."""
     if args.window is not None and args.window < 1:
         raise ParseError(f"--window must be at least 1, got {args.window}")
-    return args.window
+    return lattice.window(budget=48 if args.window is None else args.window, seed=args.seed)
 
 
 def _prime_index(lattice, label: str) -> int:
@@ -239,6 +240,10 @@ def _element_from_integer(lattice, value: int):
 def cmd_validate(args) -> int:
     started = time.perf_counter()
     source = _load_source(args)
+    if not isinstance(source, (finite.FiniteMultLattice, idealsys.WeakIdealSystem)):
+        raise ParseError(f"validate checks tables, not the closed-form builtin "
+                         f"{args.builtin!r}; pass zmod:<n>, s-system:zmod-mult:<n>, "
+                         f"d-system:zmod:<n> or --file")
     report = _Report("validate", _config(args))
     if isinstance(source, idealsys.WeakIdealSystem):
         sys_report = idealsys.validate_system(source)
@@ -251,7 +256,7 @@ def cmd_validate(args) -> int:
         report.verdict("modular", sys_report.is_modular)
         ok = sys_report.all_axioms_pass
     else:
-        val = source.validate()
+        val = source.validate(seed=args.seed)
         for entry in val.entries:
             report.verdict(entry.name, entry.passed)
             if not entry.passed:
@@ -290,12 +295,11 @@ def cmd_factor(args) -> int:
 
 def cmd_check_sp(args) -> int:
     started = time.perf_counter()
-    budget = _window_budget(args)
     lattice = _load_source(args, as_lattice=True)
+    window = _window(args, lattice)
     flavor = args.flavor or _default_flavor(lattice)
     report = _Report("check-sp", _config(args, flavor=flavor))
     try:
-        window = lattice.window(budget=budget) if budget is not None else None
         conditions = factor.check_sp_conditions(lattice, flavor, window)
     except HypothesisViolated as exc:
         report.verdict("hypotheses", False)
@@ -322,8 +326,8 @@ def _default_flavor(lattice) -> str:
 
 def cmd_represent(args) -> int:
     started = time.perf_counter()
-    budget = _window_budget(args)
     lattice = _load_source(args, as_lattice=True)
+    window = _window(args, lattice)
     report = _Report("represent", _config(args))
     try:
         phi = represent.build_phi(lattice)
@@ -336,7 +340,6 @@ def cmd_represent(args) -> int:
     card = spectrum.cardinality()
     report.verdict("spectrum_points", card if card is not None else "countable")
     report.verdict("spectrum_discrete", spectrum.discrete)
-    window = lattice.window(budget=48 if budget is None else budget)
     iso = represent.verify_iso(phi, window)
     for check in iso.checks:
         report.verdict(check.name, check.passed)

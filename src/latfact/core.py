@@ -20,9 +20,13 @@ caller calls them directly.  Declared methods with a generic form here
 work on finite carriers (``proper_radicals_above``, ``maximals_above``,
 ``valuation``); the others raise :class:`~latfact.errors.CapabilityMissing`
 unless the backend overrides them (``radical_product_membership``,
-``principal_join_below``, and ``unit_vector``/``maximal_index`` for
-maximal spectra indexed by the naturals).  A caller that has another way
-to answer catches ``CapabilityMissing`` and takes it.
+``principal_join_below``, ``unit_vector``/``maximal_index`` for maximal
+spectra indexed by the naturals, and ``c_lattice_note``, the
+justification that the backend is a C-lattice).  A caller that has
+another way to answer catches ``CapabilityMissing`` and takes it.  What a
+quantified verdict covers comes from the sample itself: a
+:class:`TestWindow` carries its ``scope``, "exhaustive" for the whole of a
+finite carrier and "window-verified" otherwise.
 
 The predicate family runs on an :class:`OpTable` that the lattice creates
 lazily and keeps while callers quantify over the same sample: it interns
@@ -72,31 +76,20 @@ class ElemRef:
 
 
 @dataclass(frozen=True)
-class Capabilities:
-    """What a backend can enumerate, plus declared structural flags.
-
-    Declared flags are backed either by exhaustive verification (finite
-    backends) or by the justification notes recorded here.
-    """
-
-    finite_enumerable: bool = False
-    primes_enumerable: bool = False
-    maximals_enumerable: bool = False
-    c_lattice_declared: bool = False
-    notes: tuple[tuple[str, str], ...] = ()
-
-
-@dataclass(frozen=True)
 class TestWindow:
-    """Finite quantification surface for an infinite presented lattice.
+    """Finite quantification surface: a generated window of a presented
+    lattice, or the whole of a finite carrier.
 
     Contains top and bottom and is closed under pairwise mul/join/meet up
-    to the size budget under which it was generated; verdicts obtained by
-    quantifying over a window are labelled "window-verified", never proved.
+    to the size budget under which it was generated.  ``scope`` labels the
+    verdicts obtained by quantifying over it: "window-verified", never
+    proved, unless the sample is the whole of a finite carrier
+    ("exhaustive").
     """
 
     sample: tuple[ElemRef, ...]
     generation_note: str
+    scope: str = "window-verified"
 
     __test__ = False  # keep pytest collection away from the Test- prefix
 
@@ -229,9 +222,8 @@ class MultLattice:
     closed forms by the shipped instances.
     """
 
-    def __init__(self, lattice_id: str, capabilities: Capabilities):
+    def __init__(self, lattice_id: str):
         self.id = lattice_id
-        self.capabilities = capabilities
         self._radical_cache: dict = {}
         self._localize_cache: dict = {}
         self._primes_cache: Optional[list] = None
@@ -273,18 +265,23 @@ class MultLattice:
         raise CapabilityMissing(f"{self.id}: carrier is not finitely enumerable")
 
     def window(self, budget: int = 48, seed: int = 0) -> TestWindow:
-        """Quantification sample; finite backends return the whole carrier."""
-        if self.capabilities.finite_enumerable:
-            return TestWindow(tuple(self.elements()), "entire finite carrier")
-        raise CapabilityMissing(f"{self.id}: no window generator")
+        """Quantification sample.  This generic form is the whole finite
+        carrier, scoped exhaustive; presented backends override it with a
+        generated window."""
+        return TestWindow(tuple(self.elements()), "entire finite carrier", "exhaustive")
 
     def is_compact(self, x: ElemRef) -> bool:
-        """Compactness; exhaustively true on finite carriers, declared on
-        instances with a justification note in the capabilities."""
+        """Compactness, as the backend declares it (its class docstring
+        gives the justification)."""
         self._own(x)
-        if self.capabilities.finite_enumerable:
-            return True
         raise CapabilityMissing(f"{self.id}: no compactness declaration")
+
+    def c_lattice_note(self) -> str:
+        """Why the backend is a C-lattice: generated under joins by a
+        multiplicatively closed set of compact elements.  The SP checks
+        take this as a hypothesis; a backend without a justification
+        raises CapabilityMissing and fails it."""
+        raise CapabilityMissing(f"{self.id}: no C-lattice justification")
 
     # ------------------------------------------------------------------
     # guards and folds
@@ -423,15 +420,11 @@ class MultLattice:
 
     def primes(self) -> list[ElemRef]:
         if self._primes_cache is None:
-            if not self.capabilities.finite_enumerable:
-                raise CapabilityMissing(f"{self.id}: prime catalog unavailable")
             self._primes_cache = [p for p in self.elements() if self.is_prime_elem(p)]
         return self._primes_cache
 
     def maximals(self) -> list[ElemRef]:
         if self._maximals_cache is None:
-            if not self.capabilities.finite_enumerable:
-                raise CapabilityMissing(f"{self.id}: maximal catalog unavailable")
             self._maximals_cache = [m for m in self.elements() if self.is_maximal_elem(m)]
         return self._maximals_cache
 
@@ -472,8 +465,8 @@ class MultLattice:
     def radical_product_membership(self, x: ElemRef) -> tuple:
         """Whether x is a product of radical elements, read off the
         backend's radical catalog: (True, the radical factors) or
-        (False, None).  Finite carriers are saturated by
-        ``factor.is_product_of_radicals`` instead."""
+        (False, None).  Finite carriers saturate the radicals under
+        products; presented backends answer in closed form."""
         raise CapabilityMissing(f"{self.id}: no radical catalog; use the factorization engine")
 
     def principal_join_below(self, x: ElemRef) -> ElemRef:
@@ -499,11 +492,10 @@ class MultLattice:
     # ------------------------------------------------------------------
 
     def _quantifier_sample(self, sample: Optional[TestWindow]) -> tuple[tuple[ElemRef, ...], str]:
-        if sample is not None:
-            return tuple(sample.sample), "window-verified"
-        if self.capabilities.finite_enumerable:
-            return tuple(self.elements()), "exhaustive"
-        return tuple(self.window().sample), "window-verified"
+        """The refs to quantify over and their scope: the given sample, or
+        else the backend's own window."""
+        win = sample if sample is not None else self.window()
+        return tuple(win.sample), win.scope
 
     def _op_table(self, refs: tuple[ElemRef, ...]) -> OpTable:
         """The lattice's op table for this quantifier sample.
@@ -625,7 +617,7 @@ class MultLattice:
             bad = next((x for x in refs if self.principal_join_below(x) != x), None)
             out.witnesses["principally_generated_scope"] = "closed-form"
         except CapabilityMissing:
-            window = TestWindow(refs, "shared predicate sample")
+            window = TestWindow(refs, "shared predicate sample", mode)
             principal = [r for r in refs if self.element_predicates(r, window).ell_principal]
             bad = next((x for x in refs
                         if self.join(p for p in principal if self.leq(p, x)) != x), None)

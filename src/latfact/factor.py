@@ -133,33 +133,12 @@ def canonical_chain(lattice: MultLattice, x: ElemRef,
 
 def is_product_of_radicals(lattice: MultLattice, x: ElemRef):
     """Exact membership of x in the closure of the radical elements under
-    products.
-
-    Finite backends saturate the closure; instance backends answer
-    through their radical catalog (CapabilityMissing without one).
+    products, from the backend's radical catalog (finite carriers saturate
+    the closure; CapabilityMissing without a catalog).
     Returns (flag, witness chain or None).
     """
     lattice._own(x)
-    if not lattice.capabilities.finite_enumerable:
-        return lattice.radical_product_membership(x)
-    radicals = [r for r in lattice.elements() if lattice.is_radical_elem(r)]
-    parent = {lattice.top: None}
-    queue = [lattice.top]
-    while queue:
-        cur = queue.pop()
-        for r in radicals:
-            nxt = lattice.mul(cur, r)
-            if nxt not in parent:
-                parent[nxt] = (cur, r)
-                queue.append(nxt)
-    if x not in parent:
-        return False, None
-    witness = []
-    node = x
-    while parent[node] is not None:
-        node, r = parent[node]
-        witness.append(r)
-    return True, witness[::-1]
+    return lattice.radical_product_membership(x)
 
 
 @dataclass
@@ -295,7 +274,7 @@ def check_sp_conditions(lattice: MultLattice, flavor: str,
     report.hypothesis_notes = _check_hypotheses(lattice)
 
     win = window or lattice.window()
-    scope = "exhaustive" if lattice.capabilities.finite_enumerable else "window-verified"
+    scope = win.scope
     labels = _CONDITION_LABELS[flavor]
     preds: dict = {}
 
@@ -323,8 +302,7 @@ def check_sp_conditions(lattice: MultLattice, flavor: str,
     # 3: nonzero primes maximal and above an invertible radical
     value, witness = _primes_shape(lattice, win, predicates)
     report.conditions.append(ConditionVerdict(
-        3, labels[2], value, "closed-form" if lattice.capabilities.primes_enumerable
-        else scope, witness))
+        3, labels[2], value, _catalog_scope(scope), witness))
 
     # 4: ascending chains for every element
     value, witness = _engine_sweep(lattice, win)
@@ -359,13 +337,11 @@ def check_sp_conditions(lattice: MultLattice, flavor: str,
 
 
 def _check_hypotheses(lattice: MultLattice) -> list:
-    notes = []
-    caps = lattice.capabilities
-    if not caps.c_lattice_declared:
-        raise HypothesisViolated(f"{lattice.id}: not declared a C-lattice")
-    notes.append("C-lattice: " + dict(caps.notes).get("c_lattice", "declared"))
-    small = lattice.window(budget=20) if not caps.finite_enumerable else None
-    lp = lattice.lattice_predicates(small)
+    try:
+        notes = ["C-lattice: " + lattice.c_lattice_note()]
+    except CapabilityMissing:
+        raise HypothesisViolated(f"{lattice.id}: not declared a C-lattice") from None
+    lp = lattice.lattice_predicates(lattice.window(budget=20))
     if not lp.domain:
         raise HypothesisViolated(f"{lattice.id}: not a lattice domain")
     notes.append(f"domain: {lp.mode}")
@@ -377,9 +353,7 @@ def _check_hypotheses(lattice: MultLattice) -> list:
 
 def _catalog_verdict(lattice, x) -> Optional[bool]:
     """Whether the backend's radical catalog decomposes x, or None when it
-    has no catalog and the caller falls back to the engine.  A catalog
-    "no" is exact: one concrete non-member refutes a universal claim, so
-    such witnesses are scoped closed-form."""
+    has no catalog and the caller falls back to the engine."""
     try:
         ok, _ = lattice.radical_product_membership(x)
     except CapabilityMissing:
@@ -387,13 +361,14 @@ def _catalog_verdict(lattice, x) -> Optional[bool]:
     return ok
 
 
+def _catalog_scope(scope: str) -> str:
+    """Scope of a verdict read off a catalog (the radical or the prime
+    catalog).  A catalog answer is exact, so it is not window-verified:
+    exhaustive on a whole finite carrier, closed-form otherwise."""
+    return "exhaustive" if scope == "exhaustive" else "closed-form"
+
+
 def _factoriality(lattice, win, scope):
-    if lattice.capabilities.finite_enumerable:
-        for x in lattice.elements():
-            ok, _ = is_product_of_radicals(lattice, x)
-            if not ok:
-                return False, f"{lattice.label(x)} is not a product of radicals", "exhaustive"
-        return True, None, "exhaustive"
     for x in win:
         ok = _catalog_verdict(lattice, x)
         if ok is None:
@@ -402,7 +377,7 @@ def _factoriality(lattice, win, scope):
             except (StepFailed, Stalled) as exc:
                 return False, f"{lattice.label(x)}: {exc}", scope
         elif not ok:
-            return False, f"{lattice.label(x)} is not a product of radicals", "closed-form"
+            return False, f"{lattice.label(x)} is not a product of radicals", _catalog_scope(scope)
     return True, None, scope
 
 
@@ -417,7 +392,8 @@ def _invertibles_factor(lattice, nonzero, predicates, scope):
             except (StepFailed, Stalled) as exc:
                 return False, f"invertible {lattice.label(x)} does not factor: {exc}", scope
         elif not ok:
-            return False, f"invertible {lattice.label(x)} is not a product of radicals", "closed-form"
+            return (False, f"invertible {lattice.label(x)} is not a product of radicals",
+                    _catalog_scope(scope))
     return True, None, scope
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import Capabilities, ElemRef, MultLattice, seeded_rng
+from .core import ElemRef, MultLattice, seeded_rng
 from .errors import AxiomViolation, InvalidModulus, ParseError
 
 MAX_EXHAUSTIVE = 64  # cubic axiom loops beyond this fall back to sampling
@@ -92,17 +92,8 @@ class FiniteMultLattice(MultLattice):
         self._join_tab, self._join_fail = self._derive(least_upper=True)
         self._meet_tab, self._meet_fail = self._derive(least_upper=False)
         self._residual_cache = {}
-        self._validation: Optional[ValidationReport] = None
-        super().__init__(
-            lattice_id,
-            Capabilities(
-                finite_enumerable=True,
-                primes_enumerable=True,
-                maximals_enumerable=True,
-                c_lattice_declared=True,
-                notes=(("c_lattice", "finite carrier: every element is compact"),),
-            ),
-        )
+        self._validations: dict = {}  # seed -> ValidationReport
+        super().__init__(lattice_id)
 
     # -- construction ---------------------------------------------------
 
@@ -206,6 +197,36 @@ class FiniteMultLattice(MultLattice):
         self._own(x)
         return str(self.labels[x.key])
 
+    def is_compact(self, x):
+        self._own(x)
+        return True  # every join over a finite carrier is finite
+
+    def c_lattice_note(self) -> str:
+        return "finite carrier: every element is compact"
+
+    def radical_product_membership(self, x):
+        """Saturate the radical elements under products from the top;
+        (True, factors) when x is reached, else (False, None)."""
+        self._own(x)
+        radicals = [r for r in self.elements() if self.is_radical_elem(r)]
+        parent = {self.top: None}
+        queue = [self.top]
+        while queue:
+            cur = queue.pop()
+            for r in radicals:
+                nxt = self.mul(cur, r)
+                if nxt not in parent:
+                    parent[nxt] = (cur, r)
+                    queue.append(nxt)
+        if x not in parent:
+            return False, None
+        witness = []
+        node = x
+        while parent[node] is not None:
+            node, r = parent[node]
+            witness.append(r)
+        return True, witness[::-1]
+
     def residual(self, y, x):
         self._own(y, x)
         key = (y.key, x.key)
@@ -222,10 +243,11 @@ class FiniteMultLattice(MultLattice):
 
         Order axioms re-pass by construction; the cubic checks run
         exhaustively up to MAX_EXHAUSTIVE elements and on seeded samples
-        beyond that (mode recorded in the report).
+        beyond that, drawn with ``seed`` (mode recorded in the report).
         """
-        if self._validation is not None:
-            return self._validation
+        cached = self._validations.get(seed)
+        if cached is not None:
+            return cached
         n = self.n
         exhaustive = n <= MAX_EXHAUSTIVE
         report = ValidationReport(self.name, "exhaustive" if exhaustive else "sampled")
@@ -287,7 +309,7 @@ class FiniteMultLattice(MultLattice):
                     mul[a][b] == zb for a in range(n) if a != zb
                     for b in range(n) if b != zb
                 )
-        self._validation = report
+        self._validations[seed] = report
         return report
 
     def _triples(self, seed, exhaustive):

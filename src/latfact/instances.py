@@ -16,9 +16,11 @@ SP characterizations:
   under containment, with the bounded "members plus tail ray"
   representation.
 
-Each backend declares its compact elements and prime catalog with a
-justification note instead of a computed certificate; the closed forms are
-answerable to the defining formulas on windows (see the instance tests).
+Each backend declares its compact elements, its prime catalog and its
+C-lattice justification (``c_lattice_note``) in closed form instead of a
+computed certificate; its class docstring says why they hold, and the
+closed forms are answerable to the defining formulas on windows (see the
+instance tests).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import itertools
 import math
 from typing import Iterable, Optional, Sequence
 
-from .core import Capabilities, ElemRef, MultLattice, TestWindow, grow_window, seeded_rng
+from .core import ElemRef, MultLattice, TestWindow, grow_window, seeded_rng
 from .errors import (
     CapabilityMissing,
     InvalidGenerators,
@@ -54,7 +56,10 @@ class DedekindExponentLattice(MultLattice):
     bottom.  Order: v <= w iff v dominates w componentwise (more factors
     means smaller ideal).  All nonzero elements are compact and
     invertible: they model principal-after-localization finitely
-    generated ideals.
+    generated ideals, and the bottom is compact trivially.  Exponent
+    addition of nonzero vectors never reaches zero, so the lattice is a
+    domain; it is distributive, hence modular.  The prime catalog is zero
+    and the unit vectors.
     """
 
     def __init__(self, prime_count: Optional[int], lattice_id: Optional[str] = None,
@@ -67,25 +72,9 @@ class DedekindExponentLattice(MultLattice):
             self.indices = tuple(range(prime_count))
         else:
             self.indices = None  # countably many primes, labels on demand
-        finite = self.indices is not None
-        notes = (
-            ("compact", "nonzero elements are finitely generated (principal per prime); "
-                        "the bottom is compact trivially"),
-            ("domain", "exponent addition of nonzero vectors never reaches zero"),
-            ("modular", "window-verified; the lattice is distributive"),
-            ("c_lattice", "every element is compact and a join of compacts"),
-            ("primes", "catalog: zero and the unit vectors; closed form"),
-        )
         super().__init__(
-            lattice_id or (f"dedekind:{prime_count}" if finite else "dedekind:unbounded"),
-            Capabilities(
-                finite_enumerable=False,
-                primes_enumerable=finite,
-                maximals_enumerable=finite,
-                c_lattice_declared=True,
-                notes=notes,
-            ),
-        )
+            lattice_id or (f"dedekind:{prime_count}" if self.indices is not None
+                           else "dedekind:unbounded"))
 
     # -- element handling -------------------------------------------------
 
@@ -215,6 +204,9 @@ class DedekindExponentLattice(MultLattice):
     def is_compact(self, x):
         self._own(x)
         return True
+
+    def c_lattice_note(self) -> str:
+        return "every element is compact and a join of compacts"
 
     def is_prime_elem(self, p):
         self._own(p)
@@ -418,28 +410,12 @@ class Rank2ValuationIdealLattice(MultLattice):
     compact; L(a) is the join of the strictly smaller principals and is
     not compact.  The prime chain Empty < L(0) < P(0, 1) has length
     three, so the lattice has dimension two and P(1, 0) has no radical
-    factorization.
+    factorization.  Sums of nonempty ideals are nonempty, so the lattice
+    is a domain, and it is modular because the carrier is a chain.
     """
 
     def __init__(self):
-        notes = (
-            ("compact", "principal ideals are compact; each Limit(a) is the join "
-                        "of the principals below it and is not compact"),
-            ("primes", "catalog: Empty < Limit(0) < Principal(0,1); closed form"),
-            ("domain", "sums of nonempty ideals are nonempty"),
-            ("modular", "the carrier is a chain"),
-            ("c_lattice", "principals are multiplicatively closed and join-dense"),
-        )
-        super().__init__(
-            "rank2-valuation",
-            Capabilities(
-                finite_enumerable=False,
-                primes_enumerable=True,
-                maximals_enumerable=True,
-                c_lattice_declared=True,
-                notes=notes,
-            ),
-        )
+        super().__init__("rank2-valuation")
 
     # -- element handling --------------------------------------------------
 
@@ -555,6 +531,9 @@ class Rank2ValuationIdealLattice(MultLattice):
         self._own(x)
         return x.key[0] != "L"
 
+    def c_lattice_note(self) -> str:
+        return "principals are multiplicatively closed and join-dense"
+
     def is_prime_elem(self, p):
         self._own(p)
         return p.key in (_EMPTY, ("L", 0), ("P", 0, 1))
@@ -657,7 +636,10 @@ class NumericalMonoidIdealLattice(MultLattice):
     in the ideal; c is renormalized to its minimum after every operation.
     The prime catalog is {empty, M = H minus 0}: any prime containing a
     nonzero x would contain a high power of the principal ideal of x and
-    hence x itself.
+    hence x itself.  Every ideal has a finite minimal generating set (its
+    members outside I + M), so all ideals are compact.  The closure of a
+    set is the union of the closures of its singletons by construction,
+    so the ideal system is finitary.
     """
 
     def __init__(self, generators: Sequence[int]):
@@ -670,24 +652,7 @@ class NumericalMonoidIdealLattice(MultLattice):
         self._membership, self.frobenius = _monoid_membership(gens)
         self._top_ref = None
         self._max_ref = None
-        notes = (
-            ("compact", "every ideal has a finite minimal generating set "
-                        "(its members outside I + M), so all ideals are compact"),
-            ("primes", "catalog {empty, M}: a prime containing nonzero x contains "
-                       "a high power of x + H, hence x"),
-            ("finitary", "the closure of a set is the union of the closures of "
-                         "its singletons by construction"),
-        )
-        super().__init__(
-            "numerical:" + ",".join(map(str, gens)),
-            Capabilities(
-                finite_enumerable=False,
-                primes_enumerable=True,
-                maximals_enumerable=True,
-                c_lattice_declared=True,
-                notes=notes,
-            ),
-        )
+        super().__init__("numerical:" + ",".join(map(str, gens)))
 
     # -- monoid helpers ----------------------------------------------------
 
@@ -849,6 +814,10 @@ class NumericalMonoidIdealLattice(MultLattice):
     def is_compact(self, x):
         self._own(x)
         return True
+
+    def c_lattice_note(self) -> str:
+        return ("every ideal is finitely generated, hence compact, and the "
+                "compacts (all ideals) are multiplicatively closed and join-dense")
 
     def is_prime_elem(self, p):
         self._own(p)

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .core import ElemRef, MultLattice, TestWindow
 from .errors import (
+    CapabilityMissing,
     HypothesisViolated,
     NotMaximal,
     UnsupportedTopology,
@@ -59,23 +60,28 @@ class MaxSpectrum:
 
 
 def build_spectrum(lattice: MultLattice, with_basis: bool = False) -> MaxSpectrum:
-    """Materialize the spectrum; discrete for every shipped backend."""
-    if lattice.capabilities.maximals_enumerable:
+    """Materialize the spectrum; discrete for every shipped backend.
+
+    A finite maximal catalog gives a finite spectrum; without one the
+    maximals must be indexed by the naturals.  ``with_basis`` asks for
+    the basic open sets V(x), which only a finite carrier enumerates."""
+    try:
         points = tuple(sorted(lattice.maximals(), key=lattice.label))
-        spec = MaxSpectrum(lattice.id, finite_discrete(len(points)), True, points)
-        for i, m in enumerate(points):
-            for j, n in enumerate(points):
-                if i < j:
-                    # maximal joins of distinct maximals are the top
-                    spec.separation[(i, j)] = (m, n)
-        if with_basis and lattice.capabilities.finite_enumerable:
-            for x in lattice.elements():
-                spec.basis[lattice.label(x)] = tuple(
-                    i for i, m in enumerate(points) if lattice.leq(x, m)
-                )
-        return spec
-    lattice.unit_vector(0)  # CapabilityMissing unless indexed by the naturals
-    return MaxSpectrum(lattice.id, countable_discrete(), True, None)
+    except CapabilityMissing:
+        lattice.unit_vector(0)  # CapabilityMissing unless indexed by the naturals
+        return MaxSpectrum(lattice.id, countable_discrete(), True, None)
+    spec = MaxSpectrum(lattice.id, finite_discrete(len(points)), True, points)
+    for i, m in enumerate(points):
+        for j, n in enumerate(points):
+            if i < j:
+                # maximal joins of distinct maximals are the top
+                spec.separation[(i, j)] = (m, n)
+    if with_basis:
+        for x in lattice.elements():
+            spec.basis[lattice.label(x)] = tuple(
+                i for i, m in enumerate(points) if lattice.leq(x, m)
+            )
+    return spec
 
 
 def point_of(spectrum: MaxSpectrum, lattice: MultLattice, m: ElemRef) -> int:

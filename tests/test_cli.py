@@ -4,7 +4,7 @@ import json
 import jsonschema
 import pytest
 
-from latfact import cli, finite
+from latfact import cli, finite, instances
 
 
 def run(capsys, *argv):
@@ -121,10 +121,17 @@ def test_json_reports_deterministic(capsys):
     ("zmod:1", "malformed builtin selector 'zmod:1': modulus"),
     ("numerical:4,6", "malformed builtin selector 'numerical:4,6': generators"),
     ("power-of-j:4", "malformed builtin selector 'power-of-j:4': j has exponent"),
-], ids=["nonsense:1", "zmod:1", "numerical:4,6", "power-of-j:4"])
+    # validate checks tables; the closed-form builtins have none
+    ("dedekind:3", "pass zmod:<n>, s-system:zmod-mult:<n>, d-system:zmod:<n> or --file"),
+    ("rank2", "not the closed-form builtin 'rank2'"),
+    ("numerical:3,5", "not the closed-form builtin 'numerical:3,5'"),
+    ("power-of-j:30", "not the closed-form builtin 'power-of-j:30'"),
+], ids=["nonsense:1", "zmod:1", "numerical:4,6", "power-of-j:4",
+        "dedekind:3", "rank2", "numerical:3,5", "power-of-j:30"])
 def test_unknown_builtin(capsys, selector, message):
-    code, _, err = run(capsys, "validate", "--builtin", selector)
+    code, out, err = run(capsys, "validate", "--builtin", selector)
     assert code == 2 and message in err
+    assert out == "" and "Traceback" not in err
 
 
 def test_props_single_criterion(capsys):
@@ -163,6 +170,58 @@ def test_unreadable_file_is_malformed(tmp_path, capsys, command):
         assert err.startswith("parse error:") and "Traceback" not in err, (command, name)
 
 
+def _two_chain_file(path):
+    path.write_text(json.dumps({"name": "two-chain", "elements": ["0", "1"],
+                                "leq": [[1, 1], [0, 1]], "mul": [[0, 0], [0, 1]]}),
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, exhaustive", [
+    (["--builtin", "zmod:2"], True),
+    (["--builtin", "zmod:7"], True),
+    (["--file", "two-chain.json"], True),
+    (["--builtin", "dedekind:2", "--window", "24"], False),
+    (["--builtin", "power-of-j:30", "--window", "24"], False),
+    (["--builtin", "rank2"], False),
+    (["--builtin", "numerical:3,5", "--window", "40"], False),
+], ids=["zmod:2", "zmod:7", "two-chain", "dedekind:2", "power-of-j:30", "rank2",
+        "numerical:3,5"])
+def test_check_sp_scopes_are_honest(tmp_path, monkeypatch, capsys, argv, exhaustive):
+    # "exhaustive" means every element was checked: on a finite carrier
+    # every condition is, and a sampled check never passes as exhaustive
+    monkeypatch.chdir(tmp_path)
+    _two_chain_file(tmp_path / "two-chain.json")
+    code, out, _ = run(capsys, "check-sp", *argv, "--format", "json")
+    scopes = [v["scope"] for v in json.loads(out)["verdicts"] if "scope" in v]
+    assert code == 0 and len(scopes) == 6
+    if exhaustive:
+        assert set(scopes) == {"exhaustive"}
+    else:
+        assert "exhaustive" not in scopes
+
+
+def test_seed_reaches_the_sampled_parts(capsys, monkeypatch):
+    seen = []
+    window = instances.DedekindExponentLattice.window
+    validate = finite.FiniteMultLattice.validate
+    monkeypatch.setattr(instances.DedekindExponentLattice, "window",
+                        lambda self, budget=48, seed=0:
+                        seen.append(("window", seed)) or window(self, budget, seed))
+    monkeypatch.setattr(finite.FiniteMultLattice, "validate",
+                        lambda self, seed=0:
+                        seen.append(("validate", seed)) or validate(self, seed))
+    for argv, call in ((["check-sp", "--builtin", "dedekind:2", "--window", "24"], "window"),
+                       (["represent", "--builtin", "dedekind:2", "--window", "24"], "window"),
+                       (["validate", "--builtin", "zmod:12"], "validate")):
+        seen.clear()
+        code, _, _ = run(capsys, *argv, "--seed", "3")
+        assert code == 0 and (call, 3) in seen, argv
+    # seeds pick different windows, so the flag is not decorative
+    L = instances.dedekind(2)
+    assert window(L, 24, 0).sample != window(L, 24, 1).sample
+
+
 def _two_axiom_failures(path):
     doc = finite.save(finite.materialize_from_divisors(12))
     doc["mul"][1][2] = 0  # 2 * 3 no longer commutes
@@ -184,7 +243,7 @@ GOLDEN_REPORTS = {
     "check-sp --builtin power-of-j:30 --window 24":
         "e3c70e28ce0d17978e7cd13dbd81cc41aec4deefd41d6d86f82e1928e0034b50",
     "check-sp --builtin zmod:7":
-        "615605b32886d3845ed6a05a4a171ddf9b3b1a3b4b6ead8cabb086430c740789",
+        "a6c6f96a22217eeff6ba86645c12ddfad18c7300b1df70a26573b89c49c3df04",
     "represent --builtin dedekind:2 --window 24":
         "dffecce1b17f53fe6f05f21f8a4c87db93fee327572adf6447bf0c5024f13c91",
     "represent --builtin power-of-j:30 --window 24":

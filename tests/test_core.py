@@ -165,7 +165,11 @@ def test_window_for_finite_is_whole_carrier(zmod12):
     assert zmod12.top in window.sample and zmod12.bottom in window.sample
 
 
-def test_predicates_on_explicit_window(zmod12):
+def test_predicates_on_explicit_window(zmod12, dedekind3):
     window = TestWindow(tuple(zmod12.elements()[:4]), "prefix sample")
     rec = zmod12.element_predicates(zmod12.top, window)
     assert rec.mode == "window-verified"
+    # without a sample the scope is the backend's own window's: the whole
+    # finite carrier, or a generated window of a presented backend
+    assert zmod12.element_predicates(zmod12.top).mode == "exhaustive"
+    assert dedekind3.element_predicates(dedekind3.top).mode == "window-verified"

@@ -1,7 +1,7 @@
 import pytest
 
 from latfact import factor, finite, idealsys, instances
-from latfact.core import Capabilities, ElemRef, MultLattice
+from latfact.core import ElemRef, MultLattice
 from latfact.errors import (
     CapabilityMissing,
     HypothesisViolated,
@@ -64,8 +64,7 @@ class _LyingRadical(MultLattice):
     """Two-chain whose radical lies: forces a repeated remainder."""
 
     def __init__(self):
-        super().__init__("lying", Capabilities(finite_enumerable=False,
-                                               c_lattice_declared=True))
+        super().__init__("lying")
 
     @property
     def top(self):
@@ -216,6 +215,7 @@ PROTOCOL = (
     ("maximals_above", lambda L, x, m: L.maximals_above(x)),
     ("unit_vector", lambda L, x, m: L.unit_vector(0)),
     ("maximal_index", lambda L, x, m: L.maximal_index(m)),
+    ("c_lattice_note", lambda L, x, m: L.c_lattice_note()),
 )
 
 
@@ -232,6 +232,17 @@ def test_capability_missing_without_catalog():
         for x in (L.top, L.bottom):
             with pytest.raises(CapabilityMissing):
                 call(L, x, L.bottom)  # the bottom is the maximal of the two-chain
+
+
+def test_check_sp_needs_a_declared_c_lattice():
+    class Undeclared(finite.FiniteMultLattice):
+        c_lattice_note = MultLattice.c_lattice_note  # no justification
+
+    doc = {"name": "two-chain", "elements": ["0", "1"],
+           "leq": [[1, 1], [0, 1]], "mul": [[0, 0], [0, 1]]}
+    assert factor.check_sp_conditions(finite.load(doc), "lattice-4.6").agreement
+    with pytest.raises(HypothesisViolated, match="not declared a C-lattice"):
+        factor.check_sp_conditions(Undeclared.from_document(doc), "lattice-4.6")
 
 
 def _d_system_ideals_12():
@@ -251,7 +262,11 @@ def _d_system_ideals_12():
         "numerical:3,5", "zmod:12", "d-system:zmod:12"])
 def test_shipped_backends_answer_the_protocol(make):
     L = make()
-    m = L.maximals()[0] if L.capabilities.maximals_enumerable else L.unit_vector(0)
+    try:
+        m = L.maximals()[0]
+    except CapabilityMissing:
+        m = L.unit_vector(0)
+    assert L.c_lattice_note()  # every shipped backend is a declared C-lattice
     for name, call in PROTOCOL:
         for x in (L.top, m):
             try:
@@ -266,6 +281,8 @@ def test_shipped_backends_answer_the_protocol(make):
                 assert result[0] is True, (name, L.label(x))
             elif name in ("proper_radicals_above", "maximals_above"):
                 assert all(L.leq(x, r) for r in result), (name, L.label(x))
+            elif name == "c_lattice_note":
+                assert isinstance(result, str) and result, name
             else:
                 L._own(result)
     if isinstance(L, finite.FiniteMultLattice):

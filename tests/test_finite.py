@@ -140,4 +140,4 @@ def test_large_tables_validate_in_sampled_mode():
 
 def test_compactness_declared_for_finite(zmod12):
     assert all(zmod12.is_compact(x) for x in zmod12.elements())
-    assert dict(zmod12.capabilities.notes)["c_lattice"]
+    assert zmod12.c_lattice_note()

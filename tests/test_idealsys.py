@@ -61,7 +61,7 @@ def test_d_system_matches_divisor_lattice(d12):
 def test_ideal_lattice_validates(s4):
     lattice = idealsys.build_ideal_lattice(s4)
     assert lattice.validate().all_axioms_pass
-    assert lattice.capabilities.c_lattice_declared
+    assert lattice.c_lattice_note()
 
 
 def test_regular_sublattice(s4, d12):
