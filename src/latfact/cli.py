@@ -156,7 +156,8 @@ def _builtin(selector: str):
 
 def _parse_element(lattice, text: str):
     """Element literals per instance family: a divisor, a prime:exponent
-    list, a catalog name, or an ideal description n+H / member list."""
+    list, a catalog name, or an ideal description n+H / generator list /
+    the {m1,...,c+} member form that labels print."""
     text = text.strip()
     if isinstance(lattice, finite.FiniteMultLattice):
         masks = lattice.ideal_masks
@@ -199,6 +200,9 @@ def _parse_element(lattice, text: str):
             return lattice.maximal_ideal()
         if body.endswith("+H"):
             return lattice.ideal([int(body[:-2])])
+        if body.startswith("{") and body.endswith("+}"):
+            *members, ray = body[1:-2].split(",")
+            return lattice.ideal_from_members([int(m) for m in members], int(ray))
         return lattice.ideal([int(v) for v in body.split(",")])
     raise ParseError(f"no element grammar for {lattice.id}")
 
@@ -363,9 +367,18 @@ def cmd_represent(args) -> int:
 def cmd_props(args) -> int:
     keys = args.criteria.split(",") if args.criteria else None
     results = props.run_criteria(keys)
-    for result in results:
-        print(result.line())
-    return 0 if all(r.passed for r in results) else 1
+    all_pass = all(r.passed for r in results)
+    if args.format == "json":
+        print(json.dumps({
+            "criteria": [{"key": r.key, "name": r.name, "passed": r.passed,
+                          "detail": r.detail, "elapsed_s": round(r.elapsed, 3)}
+                         for r in results],
+            "all_pass": all_pass,
+        }, sort_keys=True))
+    else:
+        for result in results:
+            print(result.line())
+    return 0 if all_pass else 1
 
 
 def _config(args, **extra) -> dict:

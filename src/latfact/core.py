@@ -32,7 +32,10 @@ The predicate family runs on an :class:`OpTable` that the lattice creates
 lazily and keeps while callers quantify over the same sample: it interns
 elements to dense ints (the sample first) and memoizes leq, mul, join2,
 meet2 and residual on those ids in one ``array('i')`` row per first
-operand.  A miss calls the backend's own primitive, so guards and closed
+operand.  ``OpTable.lookup`` answers one pair per call; ``OpTable.pairs``
+answers a whole row of pairs in one call, which the W^2 meet- and
+join-principal loops use to compare one row of each side per outer
+element.  A miss calls the backend's own primitive, so guards and closed
 forms are unchanged and lookups that leave a window still reach the
 closed form.
 
@@ -50,6 +53,7 @@ import random
 import threading
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -150,10 +154,12 @@ class OpTable:
     second operand requested of it and doubles when it grows.  mul, join2
     and meet2 are commutative by the lattice axioms, so they file an
     operand pair under its larger id; their rows are indexed by the smaller
-    one and stay about as long as the sample.  A miss calls the backend's own method on the operands in the
-    order they were asked for.  The table never references its lattice --
-    every lookup is handed it -- so the two are freed together by
-    reference counting.  Interning and row growth run under one lock;
+    one and stay about as long as the sample.  ``lookup`` gives a function
+    answering one pair per call and ``pairs`` answers a whole list of
+    pairs in one call, from the same rows; a miss in either calls the
+    backend's own method on the operands in the order they were asked
+    for.  The table never references its lattice -- every lookup is
+    handed it -- so the two are freed together by reference counting.  Interning and row growth run under one lock;
     reads take none, since a filled entry never changes.
     """
 
@@ -196,6 +202,35 @@ class OpTable:
             return v
 
         return f
+
+    def pairs(self, lattice: "MultLattice", op: str,
+              left: Iterable[int], right: Iterable[int]) -> list[int]:
+        """``[lattice.<op>(i, j) for i, j in zip(left, right)]`` on ids.
+
+        The batched form of ``lookup``: one call fills a whole row of a
+        quantifier loop from the same memo rows, with misses going through
+        the same path, so a caller compares lists instead of making one
+        Python call per entry.  Pass ``itertools.repeat(i)`` to hold an
+        operand fixed.
+        """
+        rows = self._rows[op]
+        miss = self._miss
+        commutative = op in self.COMMUTATIVE
+        out = []
+        append = out.append
+        for i, j in zip(left, right):
+            if commutative and i < j:
+                r, c = j, i
+            else:
+                r, c = i, j
+            try:
+                v = rows[r][c]
+            except (IndexError, TypeError):  # no row for r yet, or too short
+                v = -1
+            if v < 0:
+                v = miss(lattice, op, i, j, r, c)
+            append(v)
+        return out
 
     def _miss(self, lattice, op, i, j, r, c) -> int:
         result = getattr(lattice, op)(self.refs[i], self.refs[j])
@@ -526,36 +561,43 @@ class MultLattice:
         ids = table.sample_ids
         xi = table.intern(x)
         leq, mul, join2, meet2, residual = (table.lookup(self, op) for op in OpTable.OPS)
+        pairs = table.pairs
         zero_res = residual(table.intern(self.bottom), xi)
-        mul_x = {y: mul(xi, y) for y in ids}
-        res_to_x = {y: residual(y, xi) for y in ids}
+        mul_row = pairs(self, "mul", repeat(xi), ids)  # x*y for y in ids
+        res_row = pairs(self, "residual", ids, repeat(xi))  # (y : x) for y in ids
 
         first_with_product: dict = {}
-        for y in ids:
-            other = first_with_product.setdefault(mul_x[y], y)
+        for y, product in zip(ids, mul_row):
+            other = first_with_product.setdefault(product, y)
             if other != y:
                 rec.cancellative = False
                 rec.witnesses["cancellative"] = (ref_of[other], ref_of[y])
                 break
 
-        for y in ids:
-            if meet2(xi, y) != mul(res_to_x[y], xi):
+        for y, res in zip(ids, res_row):
+            if meet2(xi, y) != mul(res, xi):
                 rec.weak_meet_principal = False
                 rec.witnesses["weak_meet_principal"] = (ref_of[y],)
                 break
 
+        # The W^2 loops build one row of each side per outer element y and
+        # compare the rows; the first mismatching column gives the first
+        # failing pair (y, z) in product order.
         if not rec.weak_meet_principal:
             rec.meet_principal = False  # meet principal implies the weak form
             rec.witnesses["meet_principal"] = rec.witnesses["weak_meet_principal"]
         else:
-            for y, z in itertools.product(ids, ids):
-                if meet2(y, mul_x[z]) != mul(meet2(res_to_x[y], z), xi):
+            for y, res in zip(ids, res_row):
+                left = pairs(self, "meet2", repeat(y), mul_row)
+                right = pairs(self, "mul", pairs(self, "meet2", repeat(res), ids), repeat(xi))
+                if left != right:
                     rec.meet_principal = False
-                    rec.witnesses["meet_principal"] = (ref_of[y], ref_of[z])
+                    rec.witnesses["meet_principal"] = (
+                        ref_of[y], ref_of[ids[_first_mismatch(left, right)]])
                     break
 
-        for y in ids:
-            if not leq(residual(mul_x[y], xi), join2(y, zero_res)):
+        for y, product in zip(ids, mul_row):
+            if not leq(residual(product, xi), join2(y, zero_res)):
                 rec.weak_join_principal = False
                 rec.witnesses["weak_join_principal"] = (ref_of[y],)
                 break
@@ -564,10 +606,14 @@ class MultLattice:
             rec.join_principal = False  # join principal implies the weak form
             rec.witnesses["join_principal"] = rec.witnesses["weak_join_principal"]
         else:
-            for y, z in itertools.product(ids, ids):
-                if join2(y, res_to_x[z]) != residual(join2(mul_x[y], z), xi):
+            for y, product in zip(ids, mul_row):
+                left = pairs(self, "join2", repeat(y), res_row)
+                right = pairs(self, "residual", pairs(self, "join2", repeat(product), ids),
+                              repeat(xi))
+                if left != right:
                     rec.join_principal = False
-                    rec.witnesses["join_principal"] = (ref_of[y], ref_of[z])
+                    rec.witnesses["join_principal"] = (
+                        ref_of[y], ref_of[ids[_first_mismatch(left, right)]])
                     break
 
         rec.ell_principal = rec.meet_principal and rec.join_principal
@@ -625,6 +671,11 @@ class MultLattice:
             out.principally_generated = False
             out.witnesses["principally_generated"] = (bad,)
         return out
+
+
+def _first_mismatch(left: list, right: list) -> int:
+    """Index of the first position where two equal-length rows differ."""
+    return next(k for k, (a, b) in enumerate(zip(left, right)) if a != b)
 
 
 def grow_window(

@@ -72,6 +72,7 @@ class DedekindExponentLattice(MultLattice):
             self.indices = tuple(range(prime_count))
         else:
             self.indices = None  # countably many primes, labels on demand
+        self._index_set = frozenset(self.indices) if self.indices is not None else None
         super().__init__(
             lattice_id or (f"dedekind:{prime_count}" if self.indices is not None
                            else "dedekind:unbounded"))
@@ -81,6 +82,15 @@ class DedekindExponentLattice(MultLattice):
     def _mk(self, vec: dict) -> ElemRef:
         key = _vec_key(vec)
         self._check_support(dict(key))
+        return ElemRef(self.id, key)
+
+    def _from_key(self, key: tuple) -> ElemRef:
+        """The element with a canonical key (sorted, positive exponents)
+        built by the caller; only the support is checked, in O(k)."""
+        if self._index_set is not None:
+            for i, _ in key:
+                if i not in self._index_set:
+                    raise ParseError(f"{self.id}: prime index {i} outside the instance")
         return ElemRef(self.id, key)
 
     def _check_support(self, vec: dict) -> None:
@@ -156,21 +166,26 @@ class DedekindExponentLattice(MultLattice):
             xv[i] = xv.get(i, 0) + e
         return self._mk(xv)
 
+    # join2, meet2 and residual build the canonical key straight from the
+    # operands' sorted keys: a join keeps the common support at the smaller
+    # exponent, a meet merges both supports at the larger, and y : x keeps
+    # the primes where y has the larger exponent, at the difference.
+
     def join2(self, x, y):
         self._own(x, y)
         if x.key == ZERO_KEY:
             return y
         if y.key == ZERO_KEY:
             return x
-        xv, yv = dict(x.key), dict(y.key)
-        return self._mk({i: min(xv.get(i, 0), yv.get(i, 0)) for i in set(xv) & set(yv)})
+        xv = dict(x.key)
+        return self._from_key(tuple([(i, e if e <= f else f)
+                                     for i, e in y.key if (f := xv.get(i))]))
 
     def meet2(self, x, y):
         self._own(x, y)
         if ZERO_KEY in (x.key, y.key):
             return self.bottom
-        xv, yv = dict(x.key), dict(y.key)
-        return self._mk({i: max(xv.get(i, 0), yv.get(i, 0)) for i in set(xv) | set(yv)})
+        return self._from_key(_merge_max(x.key, y.key))
 
     # -- closed-form derived operations -------------------------------------
 
@@ -180,8 +195,9 @@ class DedekindExponentLattice(MultLattice):
             return self.top
         if y.key == ZERO_KEY:
             return self.bottom
-        xv, yv = dict(x.key), dict(y.key)
-        return self._mk({i: max(yv.get(i, 0) - xv.get(i, 0), 0) for i in set(xv) | set(yv)})
+        xv = dict(x.key)
+        return self._from_key(tuple([(i, e - f) for i, e in y.key
+                                     if e > (f := xv.get(i, 0))]))
 
     def radical(self, x):
         self._own(x)
@@ -331,6 +347,27 @@ class DedekindExponentLattice(MultLattice):
                 seen.add(r)
                 ordered.append(r)
         return TestWindow(tuple(ordered), note)
+
+
+def _merge_max(a: tuple, b: tuple) -> tuple:
+    """Merge of two sorted (index, exponent) keys, the larger exponent
+    where both have the index."""
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        p, q = a[i], b[j]
+        if p[0] < q[0]:
+            out.append(p)
+            i += 1
+        elif q[0] < p[0]:
+            out.append(q)
+            j += 1
+        else:
+            out.append(p if p[1] >= q[1] else q)
+            i += 1
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 def _level_chain(lattice: DedekindExponentLattice, vec: dict) -> Iterable[ElemRef]:
@@ -632,8 +669,15 @@ def rank2_valuation() -> Rank2ValuationIdealLattice:
 class NumericalMonoidIdealLattice(MultLattice):
     """Ideals I = I + H of a numerical monoid, ordered by containment.
 
-    An ideal is kept as (members below c, c) where everything from c on is
-    in the ideal; c is renormalized to its minimum after every operation.
+    An ideal is kept as the key (mask, c): everything from c on is in the
+    ideal, and bit m of the int ``mask`` is set for each member m below c.
+    c is kept at its minimum, one past the largest non-member, so each
+    ideal has one key.  Order, join and meet are and-not, or and and on
+    the masks, products shift-OR one mask over the set bits of the other,
+    and a residual tests one shifted mask per monoid element; labels,
+    ``members_below``, ``contains`` and the element literals read members
+    and are independent of the mask form.
+
     The prime catalog is {empty, M = H minus 0}: any prime containing a
     nonzero x would contain a high power of the principal ideal of x and
     hence x itself.  Every ideal has a finite minimal generating set (its
@@ -650,6 +694,9 @@ class NumericalMonoidIdealLattice(MultLattice):
             raise InvalidGenerators(f"generators must have gcd 1: {generators!r}")
         self.generators = gens
         self._membership, self.frobenius = _monoid_membership(gens)
+        # members of the monoid as a mask: the sieve up to the Frobenius
+        # number, then every value beyond it
+        self._monoid_mask = sum(1 << v for v in self._membership) | -(1 << (self.frobenius + 1))
         self._top_ref = None
         self._max_ref = None
         super().__init__("numerical:" + ",".join(map(str, gens)))
@@ -669,11 +716,17 @@ class NumericalMonoidIdealLattice(MultLattice):
     # -- element handling ----------------------------------------------------
 
     def _mk(self, members: Iterable[int], allin: int) -> ElemRef:
-        members = {m for m in members if m < allin}
-        while allin - 1 in members:
-            members.discard(allin - 1)
-            allin -= 1
-        return ElemRef(self.id, (tuple(sorted(members)), allin))
+        mask = 0
+        for m in members:
+            if m < allin:
+                mask |= 1 << m
+        return self._norm(mask, allin)
+
+    def _norm(self, mask: int, allin: int) -> ElemRef:
+        """The ideal holding the bits of mask below allin and everything
+        from allin on, with allin lowered to one past its largest gap."""
+        allin = (~mask & ((1 << allin) - 1)).bit_length()
+        return ElemRef(self.id, (mask & ((1 << allin) - 1), allin))
 
     def ideal(self, generators: Iterable[int]) -> ElemRef:
         """Smallest ideal containing the given monoid elements."""
@@ -687,19 +740,35 @@ class NumericalMonoidIdealLattice(MultLattice):
         members = {g + h for g in gens for h in self.monoid_members(allin)}
         return self._mk({m for m in members if m < allin}, allin)
 
+    def ideal_from_members(self, members: Iterable[int], allin: int) -> ElemRef:
+        """The ideal holding the given values and every value from allin
+        on, the set that a label {m1,...,c+} names; ParseError when that
+        set is not an ideal of the monoid."""
+        members = sorted(set(members))
+        bad = next((v for v in members if not self.in_monoid(v)), None)
+        if bad is not None:
+            raise ParseError(f"{bad} is not an element of the monoid {self.id}")
+        if allin <= self.frobenius:
+            raise ParseError(f"{allin}+ contains the gap {self.frobenius} of the monoid {self.id}")
+        x = self._mk(members, allin)
+        for m, g in itertools.product(members, self.generators):
+            if not self.contains(x, m + g):
+                raise ParseError(f"not an ideal of {self.id}: it holds {m} but not {m} + {g}")
+        return x
+
     def contains(self, x: ElemRef, value: int) -> bool:
         self._own(x)
         if x.key == _EMPTY:
             return False
-        members, allin = x.key
-        return value >= allin or value in members
+        mask, allin = x.key
+        return value >= allin or (value >= 0 and bool(mask >> value & 1))
 
     def members_below(self, x: ElemRef, bound: int) -> list[int]:
         self._own(x)
         if x.key == _EMPTY:
             return []
-        members, allin = x.key
-        return [v for v in range(bound) if v >= allin or v in members]
+        mask, allin = x.key
+        return [v for v in range(bound) if v >= allin or mask >> v & 1]
 
     @property
     def top(self) -> ElemRef:
@@ -722,12 +791,12 @@ class NumericalMonoidIdealLattice(MultLattice):
         self._own(x)
         if x.key == _EMPTY:
             return "empty"
-        members, allin = x.key
+        mask, allin = x.key
         if x == self.top:
             return "H"
         if x == self.maximal_ideal():
             return "M"
-        parts = [str(m) for m in members] + [f"{allin}+"]
+        parts = [str(m) for m in range(allin) if mask >> m & 1] + [f"{allin}+"]
         return "{" + ",".join(parts) + "}"
 
     # -- primitives -----------------------------------------------------------
@@ -739,20 +808,24 @@ class NumericalMonoidIdealLattice(MultLattice):
         if y.key == _EMPTY:
             return False
         (xm, xa), (ym, ya) = x.key, y.key
-        if xa < ya:
-            return False
-        return all(m in ym or m >= ya for m in xm)
+        # ya - 1 is a gap of y, so a ray of x starting lower is not inside
+        return xa >= ya and not (xm & ~ym & ((1 << ya) - 1))
 
     def mul(self, x, y):
+        """X + Y: the sums of the masks, plus the rays [xa + min Y, inf)
+        and [ya + min X, inf), below which no ray element can land."""
         self._own(x, y)
         if x.key == _EMPTY or y.key == _EMPTY:
             return self.bottom
-        (_, xa), (_, ya) = x.key, y.key
-        allin = xa + ya
-        xs = self.members_below(x, allin)
-        ys = self.members_below(y, allin)
-        sums = {a + b for a in xs for b in ys if a + b < allin}
-        return self._mk(sums, allin)
+        (xm, xa), (ym, ya) = x.key, y.key
+        sums = 0
+        bits = xm
+        while bits:
+            low = bits & -bits
+            sums |= ym << (low.bit_length() - 1)
+            bits ^= low
+        allin = min(xa + _lowest(ym, ya), ya + _lowest(xm, xa))
+        return self._norm(sums, allin)
 
     def join2(self, x, y):
         self._own(x, y)
@@ -760,40 +833,41 @@ class NumericalMonoidIdealLattice(MultLattice):
             return y
         if y.key == _EMPTY:
             return x
-        allin = min(x.key[1], y.key[1])
-        merged = set(self.members_below(x, allin)) | set(self.members_below(y, allin))
-        return self._mk(merged, allin)
+        (xm, xa), (ym, ya) = x.key, y.key
+        return self._norm(xm | ym, min(xa, ya))
 
     def meet2(self, x, y):
         self._own(x, y)
         if x.key == _EMPTY or y.key == _EMPTY:
             return self.bottom
-        allin = max(x.key[1], y.key[1])
-        common = set(self.members_below(x, allin)) & set(self.members_below(y, allin))
-        return self._mk(common, allin)
+        (xm, xa), (ym, ya) = x.key, y.key
+        allin = max(xa, ya)
+        top = 1 << allin
+        return self._norm((xm | (top - (1 << xa))) & (ym | (top - (1 << ya))), allin)
 
     # -- closed-form derived operations -----------------------------------------
 
     def residual(self, y, x):
-        """Largest ideal A with A + X inside Y, by bounded scan."""
+        """Largest ideal A with A + X inside Y: the monoid elements h with
+        h + xa >= ya (the ray of X lands in Y, whose ya - 1 is a gap) and
+        no member of X shifted by h on a gap of Y; everything from
+        max(ya, Frobenius + 1) on qualifies."""
         self._own(y, x)
         if x.key == _EMPTY:
             return self.top
         if y.key == _EMPTY:
             return self.bottom
-        ya = y.key[1]
+        (xm, xa), (ym, ya) = x.key, y.key
         scan_to = max(ya, self.frobenius + 1)
-        xs = self.members_below(x, x.key[1] + 1)  # generators incl. the ray start
-        hits = set()
-        for h in self.monoid_members(scan_to):
-            if all(self.contains(y, h + v) for v in xs) and self._ray_ok(y, h, x.key[1]):
-                hits.add(h)
-        return self._mk(hits, scan_to)
-
-    def _ray_ok(self, y, h, ray_start):
-        # h + [ray_start, inf) must lie inside y
-        ya = y.key[1]
-        return all(self.contains(y, v) for v in range(h + ray_start, ya)) if h + ray_start < ya else True
+        gaps = ~ym & ((1 << ya) - 1)
+        candidates = self._monoid_mask & ((1 << scan_to) - 1) & -(1 << max(ya - xa, 0))
+        hits = 0
+        while candidates:
+            low = candidates & -candidates
+            if not (xm << (low.bit_length() - 1)) & gaps:
+                hits |= low
+            candidates ^= low
+        return self._norm(hits, scan_to)
 
     def radical(self, x):
         self._own(x)
@@ -892,6 +966,11 @@ class NumericalMonoidIdealLattice(MultLattice):
         return grow_window(self, seeds, budget,
                            f"principal ideals of small elements and small two-generated "
                            f"ideals of {self.id}, closed under ops up to budget {budget}")
+
+
+def _lowest(mask: int, allin: int) -> int:
+    """Smallest member of the numerical ideal with key (mask, allin)."""
+    return (mask & -mask).bit_length() - 1 if mask else allin
 
 
 def numerical_monoid(generators: Sequence[int]) -> NumericalMonoidIdealLattice:

@@ -61,6 +61,31 @@ def test_factor_commands(capsys):
     assert "witness engine" in out
 
 
+@pytest.mark.parametrize("gens", [(3, 5), (3, 5, 7), (4, 5, 6)],
+                         ids=["3,5", "3,5,7", "4,5,6"])
+def test_numerical_labels_parse_back(gens):
+    N = instances.numerical_monoid(gens)
+    for x in N.window(budget=64):
+        assert cli._parse_element(N, N.label(x)) == x, N.label(x)
+
+
+def test_numerical_member_literals(capsys):
+    # the condition-1 witness of the numerical:3,5 golden report
+    code, out, err = run(capsys, "factor", "--builtin", "numerical:3,5",
+                         "--element", "{3,6,8,9,11+}")
+    assert code == 1 and "{3,6,8,9,11+} != M" in out and err == ""
+    code, out, _ = run(capsys, "factor", "--builtin", "numerical:3,5",
+                       "--element", "{3,5,6,8+}")
+    assert code == 0 and "chain: M" in out
+    for literal, message in (("{3,8+}", "it holds 3 but not 3 + 3"),
+                             ("{1,8+}", "1 is not an element"),
+                             ("{3,5+}", "contains the gap 7"),
+                             ("{3,x+}", "malformed element literal")):
+        code, out, err = run(capsys, "factor", "--builtin", "numerical:3,5",
+                             "--element", literal)
+        assert code == 2 and out == "" and message in err, literal
+
+
 def test_factor_parse_error(capsys):
     code, _, err = run(capsys, "factor", "--builtin", "dedekind:3",
                        "--element", "11:2")
@@ -138,6 +163,16 @@ def test_props_single_criterion(capsys):
     code, out, _ = run(capsys, "props", "--criteria", "4")
     assert code == 0
     assert out.startswith("PASS criterion-4")
+
+
+def test_props_json_report(capsys):
+    code, out, _ = run(capsys, "props", "--criteria", "1", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["all_pass"] is True
+    (entry,) = doc["criteria"]
+    assert set(entry) == {"key", "name", "passed", "detail", "elapsed_s"}
+    assert entry["key"] == "criterion-1" and entry["passed"] is True
+    assert isinstance(entry["elapsed_s"], float)
 
 
 def test_timing_flag_attaches_timing(capsys):
@@ -260,6 +295,15 @@ GOLDEN_REPORTS = {
         "f84eccbe6bf5c6d68cda5894743b8cb2461d223642ad0342ae43daf5d6c7eb33",
     "validate --file bad.json":
         "6eeb339cd4426e764159f001a4b3c9788fbffab3f3a64c7935a975a439fc7359",
+    # the benchmark's own sp-presented commands
+    "check-sp --builtin numerical:3,4 --window 250":
+        "e854ab5e26baeeb8f5783fb9cc16ba6f68930deec16e9c7034020813a6b797a7",
+    "check-sp --builtin numerical:4,5,6 --window 120":
+        "51ded865884119c3b1673cdf3048e64b7d6791811681edb958cc0e57e77eed51",
+    "check-sp --builtin dedekind:5 --window 36":
+        "24c7d9af72f7dc07fd572e8f722dd40598f99bdd0206e00ea338663d8eb7f3bd",
+    "check-sp --builtin power-of-j:8671 --window 46":
+        "8552d52a4dd289225503530a91c330490b8a933213cceda33fd588f14c7624a6",
 }
 
 

@@ -3,8 +3,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latfact import instances
+from latfact.core import ElemRef
 from latfact.errors import (
     InvalidGenerators,
     NotPrime,
@@ -274,6 +276,79 @@ def test_rank2_localize_at_maximal_is_identity():
 
 
 # ---------------------------------------------------------------------------
+# key-built exponent arithmetic against the dict-based definitions
+# ---------------------------------------------------------------------------
+
+
+def reference_join2(L, x, y):
+    if x.key == instances.ZERO_KEY:
+        return y
+    if y.key == instances.ZERO_KEY:
+        return x
+    xv, yv = dict(x.key), dict(y.key)
+    return L._mk({i: min(xv.get(i, 0), yv.get(i, 0)) for i in set(xv) & set(yv)})
+
+
+def reference_meet2(L, x, y):
+    if instances.ZERO_KEY in (x.key, y.key):
+        return L.bottom
+    xv, yv = dict(x.key), dict(y.key)
+    return L._mk({i: max(xv.get(i, 0), yv.get(i, 0)) for i in set(xv) | set(yv)})
+
+
+def reference_residual(L, y, x):
+    if x.key == instances.ZERO_KEY:
+        return L.top
+    if y.key == instances.ZERO_KEY:
+        return L.bottom
+    xv, yv = dict(x.key), dict(y.key)
+    return L._mk({i: max(yv.get(i, 0) - xv.get(i, 0), 0) for i in set(xv) | set(yv)})
+
+
+EXPONENT_LATTICES = [instances.dedekind(k) for k in range(1, 6)] + [
+    instances.dedekind(None), instances.power_of_j_from_int(30)]
+
+
+@st.composite
+def exponent_elements(draw, L):
+    """Zero, the top, or a sparse vector over the lattice's primes (zero
+    exponents included, which the canonical key drops)."""
+    kind = draw(st.sampled_from(["zero", "top", "vector", "vector", "vector"]))
+    if kind == "zero":
+        return L.bottom
+    if kind == "top":
+        return L.top
+    indices = L.indices if L.indices is not None else range(12)
+    vec = draw(st.dictionaries(st.sampled_from(indices), st.integers(0, 6), max_size=5))
+    return L.element(vec)
+
+
+@st.composite
+def exponent_triples(draw):
+    L = draw(st.sampled_from(EXPONENT_LATTICES))
+    return L, draw(exponent_elements(L)), draw(exponent_elements(L))
+
+
+@settings(max_examples=400, deadline=None)
+@given(exponent_triples())
+def test_exponent_ops_match_dict_reference(case):
+    L, x, y = case
+    assert L.join2(x, y) == reference_join2(L, x, y)
+    assert L.meet2(x, y) == reference_meet2(L, x, y)
+    assert L.residual(x, y) == reference_residual(L, x, y)
+    assert L.residual(y, x) == reference_residual(L, y, x)
+
+
+def test_exponent_ops_check_the_support():
+    L = instances.power_of_j_from_int(30)
+    stray = ElemRef(L.id, ((3, 1),))  # 7 does not divide 30
+    for call in (lambda: L.join2(stray, stray), lambda: L.meet2(stray, L.top),
+                 lambda: L.residual(stray, L.top)):
+        with pytest.raises(ParseError, match="prime index 3 outside"):
+            call()
+
+
+# ---------------------------------------------------------------------------
 # numerical monoid ideals against explicit set arithmetic
 # ---------------------------------------------------------------------------
 
@@ -338,6 +413,37 @@ def test_numerical_residual_adjunction():
         res = N.residual(y, x)
         assert N.leq(N.mul(res, x), y)
         for a in seeds:
+            assert N.leq(N.mul(a, x), y) == N.leq(a, res)
+
+
+NUMERICAL_GENERATORS = [(2, 3), (3, 5), (3, 5, 7), (4, 5, 6), (1,)]
+
+
+@pytest.mark.parametrize("gens", NUMERICAL_GENERATORS, ids=lambda g: ",".join(map(str, g)))
+def test_numerical_mask_ops_match_set_arithmetic(gens):
+    # every pair of a window against plain sets truncated at a bound past
+    # every ray start involved, so the truncation decides each ideal
+    N = instances.numerical_monoid(gens)
+    window = list(N.window(budget=40))
+    g0 = min(gens)
+    ray_start = max(next(c for c in itertools.count() if all(N.contains(x, c + i) for i in range(g0)))
+                    for x in window if x != N.bottom)
+    bound = 2 * ray_start + 1
+    sets = {x: frozenset(N.members_below(x, bound)) for x in window}
+    monoid = [h for h in range(bound) if N.in_monoid(h)]
+    for x, y in itertools.product(window, repeat=2):
+        sx, sy = sets[x], sets[y]
+        assert N.leq(x, y) == (sx <= sy)
+        assert frozenset(N.members_below(N.join2(x, y), bound)) == sx | sy
+        assert frozenset(N.members_below(N.meet2(x, y), bound)) == sx & sy
+        assert frozenset(N.members_below(N.mul(x, y), bound)) == \
+            {a + b for a in sx for b in sy if a + b < bound}
+        res = N.residual(y, x)
+        if y != N.bottom:  # sums past the bound land in the ray of y
+            assert frozenset(N.members_below(res, bound)) == {
+                h for h in monoid if all(h + v in sy for v in sx if h + v < bound)}
+        assert N.leq(N.mul(res, x), y)
+        for a in window[:8]:
             assert N.leq(N.mul(a, x), y) == N.leq(a, res)
 
 

@@ -185,6 +185,38 @@ def test_kernel_matches_reference(name, make, budget):
     assert L.lattice_predicates(half) == reference_lattice_predicates(L, half)
 
 
+def _weak_part(L, x, flag, budget):
+    """The window elements y at which the weak form of flag holds at x,
+    top first.  Quantified over them, the weak flag holds, and a failure
+    of the full flag lies off the top row and the top column, where the
+    full condition reduces to the weak one."""
+    zero_res = L.residual(L.bottom, x)
+    weak = {
+        "meet_principal": lambda y: L.meet2(x, y) == L.mul(L.residual(y, x), x),
+        "join_principal": lambda y: L.leq(L.residual(L.mul(x, y), x), L.join2(y, zero_res)),
+    }[flag]
+    keep = tuple(y for y in L.window(budget=budget) if weak(y))
+    assert keep[0] == L.top
+    return TestWindow(keep, f"weak {flag} part")
+
+
+@pytest.mark.parametrize("gens,element,flag", [
+    ((3, 5), "M", "meet_principal"),
+    ((3, 5), "{6,8,9,11+}", "meet_principal"),
+    ((3, 5, 7), "{3,5,6,8+}", "join_principal"),
+], ids=["3,5 M", "3,5 {6,8,9,11+}", "3,5,7 {3,5,6,8+}"])
+def test_principal_witness_at_a_later_row_and_column(gens, element, flag):
+    # the batched rows must report the first failing pair in product order
+    L = instances.numerical_monoid(gens)
+    x = next(y for y in L.window(budget=24) if L.label(y) == element)
+    sample = _weak_part(L, x, flag, 24)
+    rec = L.element_predicates(x, sample)
+    assert rec == reference_element_predicates(L, x, sample)
+    assert rec.flag("weak_" + flag) and not rec.flag(flag)
+    row, column = (sample.sample.index(w) for w in rec.witnesses[flag])
+    assert row > 1 and column > 1, (row, column)
+
+
 def test_kernel_reports_false_flags_with_witnesses():
     # the reference comparison above must not pass vacuously
     L = instances.rank2_valuation()
